@@ -28,9 +28,9 @@ end-to-end on the kernel execution layer:
   kernel columns are multi-word — again beyond the one-lane boundary at
   n = 65.
 
-Costs are evaluated under ``C_out`` (as in ``bench_vectorized_kernels.py``:
-the PostgreSQL-like model's batched costing intentionally stays on its
-scalar fallback, which would blur the kernel-vs-loop comparison).
+Costs are evaluated under ``C_out``, the model of the linearized-DP
+literature (``bench_vectorized_kernels.py`` times the exact kernels under
+both ``C_out`` and the PostgreSQL-like model).
 
 Results land in ``BENCH_large_queries.json`` at the repository root.
 

@@ -1,7 +1,8 @@
 """Kernel purity rules: ``kernel-loop``, ``kernel-random``, ``kernel-clock``.
 
-The kernel execution layer (``repro.exec``, ``repro.core.widebitmap``) owes
-its speedups to staying on whole-batch numpy operations; a Python loop over
+The kernel execution layer (``repro.exec``, ``repro.core.widebitmap`` and
+the cost models' ``cost_batch``) owes its speedups to staying on whole-batch
+numpy operations; a Python loop over
 the batch elements silently reintroduces the scalar path the kernels exist
 to replace (the PR 7 wide-graph work was exactly about removing such loops).
 Functions opt in with the :func:`repro.core.contracts.kernel` decorator:

@@ -6,18 +6,14 @@ two methods — :meth:`CostModel.scan` to build a leaf plan and
 swapping the PostgreSQL-like model for ``C_out`` (as IKKBZ / LinDP do) is a
 one-argument change.
 
-The vectorized kernel backend (:mod:`repro.exec.vectorized`) additionally
-needs to cost a whole batch of candidate pairs without materialising a
-``Plan`` per pair.  Two entry points serve that:
-
-* :meth:`CostModel.join_cost_from_stats` — the cost of one join given only
-  the children's ``(rows, cost)`` statistics.  The default routes through
-  :meth:`join` with throwaway stub plans, so every model gets it for free.
-* :meth:`CostModel.cost_batch` — the array form.  The default is a scalar
-  fallback loop over :meth:`join_cost_from_stats` (this is the path the
-  PostgreSQL-like model takes); models whose arithmetic is expressible as
-  elementwise array operations override it — :class:`~repro.cost.cout.CoutCostModel`
-  does, with numpy.
+The kernel backends (:mod:`repro.exec`) additionally need to cost a whole
+batch of candidate pairs without materialising a ``Plan`` per pair; that is
+:meth:`CostModel.cost_batch`.  Both shipped models override it with a numpy
+array kernel (:class:`~repro.cost.cout.CoutCostModel` and
+:class:`~repro.cost.postgres.PostgresCostModel`).  The default is a scalar
+fallback loop over :meth:`CostModel.join_cost_from_stats`, which routes each
+pair through :meth:`join` with throwaway stub plans, so a model without a
+kernel still works on every backend.
 
 The hard contract, enforced by :class:`~repro.core.arena.PlanArena` during
 plan materialization, is **bit-identity**: for every pair,
@@ -105,10 +101,8 @@ class CostModel(ABC):
 
         The default is the documented *scalar fallback*: a Python loop over
         :meth:`join_cost_from_stats`.  Models with elementwise-expressible
-        arithmetic (``C_out``) override this with real array kernels; the
-        PostgreSQL-like model intentionally stays on the fallback because its
-        ``log2`` term is not guaranteed bit-identical between ``math`` and
-        numpy implementations.
+        arithmetic override this with real array kernels, as ``C_out`` and
+        the PostgreSQL-like model do.
         """
         import numpy as np
 

@@ -9,6 +9,7 @@ PostgreSQL-like model).  Base-relation scans are free under ``C_out``.
 
 from __future__ import annotations
 
+from ..core.contracts import kernel
 from ..core.plan import JoinMethod, Plan, join_plan, scan_plan
 from .base import CostModel
 
@@ -29,12 +30,7 @@ class CoutCostModel(CostModel):
         cost = left.cost + right.cost + output_rows
         return join_plan(left, right, output_rows, cost, JoinMethod.HASH_JOIN)
 
-    def join_cost_from_stats(self, left_rows: float, left_cost: float,
-                             right_rows: float, right_cost: float,
-                             output_rows: float) -> float:
-        """Scalar form of the C_out sum, same operation order as ``join``."""
-        return left_cost + right_cost + output_rows
-
+    @kernel
     def cost_batch(self, left_rows, left_costs, right_rows, right_costs,
                    output_rows):
         """True array kernel: elementwise float64 adds in ``join``'s order.

@@ -11,25 +11,22 @@ equi-joins with no parallel workers.
 
 The model is deliberately deterministic and monotone in its inputs so that
 optimizers disagree only when their search spaces genuinely differ.
+
+:meth:`PostgresCostModel.cost_batch` is the model's array kernel: the three
+operator formulas and the cheapest-operator pick as elementwise float64
+numpy, bit-identical to :meth:`PostgresCostModel.join` lane by lane.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
+from ..core.contracts import kernel
 from ..core.plan import JoinMethod, Plan, join_plan, scan_plan
 from .base import CostModel
 
 __all__ = ["PostgresCostParameters", "PostgresCostModel"]
-
-
-class _SideStats(NamedTuple):
-    """The two statistics the private join-cost formulas read from a plan."""
-
-    rows: float
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -74,22 +71,64 @@ class PostgresCostModel(CostModel):
         best_cost, best_method = self._best_join(left, right, output_rows)
         return join_plan(left, right, output_rows, best_cost, best_method)
 
-    def join_cost_from_stats(self, left_rows: float, left_cost: float,
-                             right_rows: float, right_cost: float,
-                             output_rows: float) -> float:
-        """Scalar batched-costing fallback: no ``Plan`` objects allocated.
+    @kernel
+    def cost_batch(self, left_rows, left_costs, right_rows, right_costs,
+                   output_rows):
+        """Array kernel: the three operator costs and the cheapest per lane.
 
-        The formulas only read ``rows``/``cost`` from the operands, so a
-        lightweight stats tuple feeds the exact code path ``join`` uses —
-        the costs are bit-identical by construction.  There is deliberately
-        no vectorized ``cost_batch`` override: the merge-join ``log2`` term
-        is not guaranteed to round identically in ``math`` and numpy.
+        Each expression repeats the float64 operation order of
+        :meth:`_hash_join_cost`, :meth:`_nested_loop_cost` and
+        :meth:`_merge_join_cost`, and the pick is :meth:`_best_join`'s
+        strict ``<`` over the same operator order, so every lane equals
+        ``join(...).cost`` bit for bit (the
+        :class:`~repro.core.arena.PlanArena` contract).  The merge-join
+        ``log2`` factor comes from :func:`math.log2`, once per distinct rows
+        value: numpy's ``log2`` is not guaranteed to round the same way.
         """
-        left = _SideStats(left_rows, left_cost)
-        right = _SideStats(right_rows, right_cost)
-        return self._best_join(left, right, output_rows)[0]
+        import numpy as np
 
-    def _best_join(self, left, right, output_rows: float):
+        p = self.parameters
+        left_rows = np.asarray(left_rows, dtype=np.float64)
+        right_rows = np.asarray(right_rows, dtype=np.float64)
+        n = len(left_rows)
+        # Overflow to inf (rows near CardinalityEstimator.MAX_ROWS) is what
+        # the scalar formulas produce too; numpy would only add a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The hash build side is the nested loop's outer side, and the
+            # probe side its inner side.
+            left_first = left_rows <= right_rows
+            small = np.where(left_first, left_rows, right_rows)
+            large = np.where(left_first, right_rows, left_rows)
+            startup = np.asarray(left_costs, dtype=np.float64) + right_costs
+            output_cost = np.multiply(output_rows, p.cpu_tuple_cost)
+            probe_cost = large * p.cpu_operator_cost
+
+            hash_cost = (startup
+                         + small * (p.cpu_operator_cost + p.cpu_tuple_cost)
+                         + probe_cost + output_cost)
+            hash_cost = np.where(small > p.hash_spill_threshold,
+                                 hash_cost * p.hash_spill_penalty, hash_cost)
+            nested_cost = startup + small * probe_cost + output_cost
+
+            distinct, inverse = np.unique(
+                np.concatenate([left_rows, right_rows]), return_inverse=True)
+            factors: list[float] = []
+            for rows in distinct.tolist():  # loop: distinct rows values — math.log2, as numpy's log2 may round differently
+                factors.append(max(1.0, math.log2(max(rows, 2.0))))
+            factor = np.array(factors)[inverse]
+            sort_cost = (
+                (0.0 + left_rows * factor[:n] * p.cpu_operator_cost)
+                + right_rows * factor[n:] * p.cpu_operator_cost)
+            merge_cost = (startup + sort_cost
+                          + (left_rows + right_rows) * p.cpu_operator_cost
+                          + output_cost)
+
+            best = np.full(n, math.inf)
+            for cost in (hash_cost, nested_cost, merge_cost):  # loop: join operators, in _best_join's order
+                best = np.where(cost < best, cost, best)
+        return best
+
+    def _best_join(self, left: Plan, right: Plan, output_rows: float):
         """Cheapest ``(cost, method)`` over the three physical operators."""
         best_cost = math.inf
         best_method = JoinMethod.HASH_JOIN

@@ -85,8 +85,10 @@ BACKEND_NAMES = ("scalar", "vectorized", "multicore", "auto")
 
 #: ``auto`` switches to the vectorized backend at this many relations: below
 #: it, per-level batches are too small for array setup to pay off and the
-#: scalar loops win.
-AUTO_VECTORIZE_MIN_RELATIONS = 12
+#: scalar loops win.  Set from the ``break_even`` section of
+#: ``BENCH_vectorized.json`` (``benchmarks/bench_vectorized_kernels.py``),
+#: measured under the default PostgreSQL-like cost model.
+AUTO_VECTORIZE_MIN_RELATIONS = 8
 
 #: ``auto`` escalates from vectorized to multicore workers at this many
 #: relations (and only when more than one CPU is usable): below it the whole

@@ -727,12 +727,14 @@ def _fallback_block_entries(snapshot: Snapshot, model,
     Works entirely off the snapshot (membership probes stand in for
     ``is_connected`` — the arena holds exactly the connected subsets of
     every smaller size — and :func:`_grow` for the lift), so worker
-    processes run it without an :class:`EnumerationContext`.  Folds its
-    candidates into the same running winners the array path merges into.
+    processes run it without an :class:`EnumerationContext`.  Its
+    candidates are costed in one ``cost_batch`` call and folded into the
+    same running winners the array path merges into.
     """
     ccp = 0
     tids: List[int] = []
-    costs: List[float] = []
+    left_slots: List[int] = []
+    right_slots: List[int] = []
     seqs: List[int] = []
     lefts: List[int] = []
     rights: List[int] = []
@@ -759,16 +761,20 @@ def _fallback_block_entries(snapshot: Snapshot, model,
                     "grow-lift produced an operand missing from the "
                     "arena; CCP lift invariant violated")
             tids.append(tid)
-            costs.append(model.join_cost_from_stats(
-                float(snapshot.rows[li]), float(snapshot.costs[li]),
-                float(snapshot.rows[ri]), float(snapshot.costs[ri]),
-                float(out_rows[tid])))
+            left_slots.append(li)
+            right_slots.append(ri)
             seqs.append(seq_base + rank)
             lefts.append(left)
             rights.append(right)
     if tids:
-        winners.merge(np.array(tids, dtype=np.int64),
-                      np.array(costs, dtype=np.float64),
+        tid_column = np.array(tids, dtype=np.int64)
+        li_column = np.array(left_slots, dtype=np.int64)
+        ri_column = np.array(right_slots, dtype=np.int64)
+        winners.merge(tid_column,
+                      model.cost_batch(
+                          snapshot.rows[li_column], snapshot.costs[li_column],
+                          snapshot.rows[ri_column], snapshot.costs[ri_column],
+                          out_rows[tid_column]),
                       np.array(seqs, dtype=np.int64),
                       wb.pack(lefts, snapshot.words),
                       wb.pack(rights, snapshot.words))

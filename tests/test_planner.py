@@ -637,8 +637,11 @@ class TestTimeBudget:
         # Rungs skipped from *remembered* overruns are the steady-state
         # answer under the current budget: cache them for throughput, but
         # evict on reset_budget_memory() so eligible rungs get re-tried.
-        # Budget 50ms: exact MPDP on a 10-clique takes ~300ms, LinDP ~2ms.
-        planner = AdaptivePlanner(time_budget_seconds=0.05)
+        # Budget 50ms: on the scalar kernels exact MPDP (and IDP2, whose
+        # k=10 fragment is the whole query) takes ~300ms on a 10-clique,
+        # LinDP ~2ms.  ``auto`` would vectorize it to within a few tens of
+        # milliseconds of the budget, so the backend is pinned.
+        planner = AdaptivePlanner(time_budget_seconds=0.05, backend="scalar")
         warmup = planner.plan(clique_query(10, seed=6))
         assert warmup.decision.fallbacks      # degraded mid-flight: not cached
         first = planner.plan(clique_query(10, seed=7))   # skip-routed
