@@ -131,7 +131,7 @@ def make_driver(name: str, workload: str, n: int, backend: str,
                 workers: Optional[int] = None):
     k = fragment_k(workload, n)
     if name == "GOO":
-        return GOO(backend=backend, workers=workers)
+        return GOO()  # scalar-only: no kernel loop for a backend to change
     if name == "LinDP":
         return AdaptiveLinDP(backend=backend, workers=workers)
     if name == "IDP2":

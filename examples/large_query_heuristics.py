@@ -26,7 +26,7 @@ def main() -> None:
     # interval merge) on the batched numpy kernels; plans are bit-identical
     # to backend="scalar", only the optimization time moves.
     heuristics = [
-        ("GOO", GOO(backend="vectorized")),
+        ("GOO", GOO()),
         ("IKKBZ", IKKBZ()),
         ("LinDP", AdaptiveLinDP(linearized_threshold=100,
                                 backend="vectorized")),

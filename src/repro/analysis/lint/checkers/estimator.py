@@ -1,23 +1,22 @@
 """``estimator-guard``: vectorized cardinality folds must check for overrides.
 
-PR 9's invariant: the vectorized log-space folds
-(``CardinalityEstimator._rows_fold``, ``QueryInfo._fold_steps_for_spec`` /
-``_log_fold_steps``, and ``lindp_merge``'s interval fold) reconstruct
-estimates from base cardinalities and edge selectivities — bit-identical to
-the *base* scalar path but blind to any ``rows()`` override such as
-``PerturbedEstimator``.  Every fold entry point must therefore consult
+The invariant: the batched log-space fold
+(``CardinalityEstimator.fold_schedule`` lays the estimator's ``log10`` terms
+onto a local layout, ``CardinalityEstimator.fold_rows`` adds them per set)
+reconstructs estimates from base cardinalities and edge selectivities —
+bit-identical to the *base* scalar path but blind to any ``rows()``
+override such as ``PerturbedEstimator``.  Every fold entry point
+(``QueryInfo.rows_batch``, ``lindp_merge``) must therefore consult
 :func:`repro.cost.cardinality.estimator_overrides_rows` and fall back to
-per-mask ``rows()`` calls first.  That contract was enforced in three
-hand-audited sites; this rule makes it structural:
+per-mask ``rows()`` calls first.  This rule makes that contract structural:
 
 * a *fold site* is a call to one of the named fold primitives, or any
   statement marked ``# repro-lint: estimator-fold`` (for manual folds the
-  AST cannot recognise, like ``lindp_merge``'s slice accumulation),
+  AST cannot recognise),
 * each fold site must be *dominated* by an ``estimator_overrides_rows()``
   call — a call at an earlier-or-equal line inside one of the site's
   lexically enclosing functions (a cheap, sound-enough approximation of
-  control-flow dominance for the guard-then-fold shape all three sites
-  use),
+  control-flow dominance for the guard-then-fold shape the sites use),
 * the fold primitives themselves (and anything defined inside them) are
   exempt — the guard belongs at the entry point, not inside the fold.
 """
@@ -32,9 +31,7 @@ from ..framework import Checker, Finding, ModuleInfo, register
 __all__ = ["EstimatorGuardChecker", "FOLD_PRIMITIVES"]
 
 #: Methods/functions that perform the blind log-space fold.
-FOLD_PRIMITIVES = frozenset({
-    "_rows_fold", "_fold_steps_for_spec", "_log_fold_steps",
-})
+FOLD_PRIMITIVES = frozenset({"fold_schedule", "fold_rows"})
 
 GUARD_NAME = "estimator_overrides_rows"
 FOLD_FLAG = "estimator-fold"

@@ -9,7 +9,7 @@ every constructor chain.  Two complementary sub-checks:
 * a function that *accepts* both ``backend`` and ``workers`` parameters
   must reference both somewhere in its body — accepting a knob and
   dropping it on the floor is exactly the original bug,
-* a call to a class constructor (a capitalized callee — ``GOO(...)``,
+* a call to a class constructor (a capitalized callee — ``IDP2(...)``,
   ``MPDP(...)``) that passes ``backend=`` as a keyword must pass
   ``workers=`` too; calls that splat ``**kwargs`` are skipped because the
   other knob may travel inside it.  The converse direction is deliberately

@@ -10,6 +10,7 @@ statistics when assigning selectivities to join edges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -57,8 +58,9 @@ class Table:
     tuples_per_page: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.rows <= 0:
-            raise ValueError(f"table {self.name!r} must have a positive row count")
+        if not 0 < self.rows < math.inf:
+            raise ValueError(f"table {self.name!r} must have a positive, finite "
+                             f"row count, got {self.rows!r}")
         if self.pages is None:
             self.pages = max(1.0, self.rows / self.tuples_per_page)
 

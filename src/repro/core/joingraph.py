@@ -36,6 +36,10 @@ class JoinEdge:
         predicate: optional human-readable predicate string (``"a.x = b.y"``).
         is_pk_fk: True when the edge is a primary-key/foreign-key join; used
             by the workload generators and the executor's time model.
+        index: the edge's position in its graph's edge order, set by
+            :meth:`JoinGraph.add_edge` (the cardinality estimator's per-edge
+            term table is indexed by it); -1 for an edge built outside a
+            graph.
     """
 
     left: int
@@ -43,6 +47,7 @@ class JoinEdge:
     selectivity: float = 1.0
     predicate: Optional[str] = None
     is_pk_fk: bool = False
+    index: int = field(default=-1, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left == self.right:
@@ -122,7 +127,8 @@ class JoinGraph:
         """
         self._check_vertex(left)
         self._check_vertex(right)
-        edge = JoinEdge(left, right, selectivity, predicate, is_pk_fk)
+        edge = JoinEdge(left, right, selectivity, predicate, is_pk_fk,
+                        index=len(self._edges))
         key = edge.endpoints
         if key in self._edge_index:
             existing_pos = self._edge_index[key]
@@ -133,6 +139,7 @@ class JoinGraph:
                 min(existing.selectivity, selectivity),
                 predicate or existing.predicate,
                 is_pk_fk or existing.is_pk_fk,
+                index=existing_pos,
             )
             self._edges[existing_pos] = combined
             # Merging predicates on an existing pair changes selectivity only;

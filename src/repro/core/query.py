@@ -187,186 +187,53 @@ class QueryInfo:
         (:mod:`repro.core.widebitmap`) — the kernels hand over whichever
         they hold.  A packed column may come with its run's ``spec``
         (identity word count or bit remap, see
-        :func:`repro.core.widebitmap.view_for`); a remap column is folded
-        *in its own compact layout* against per-spec cached selectors, so a
-        scoped fragment run on a wide contracted query never round-trips
-        its batch through full-width packing.  Ordinary queries delegate to
-        the estimator's deduplicating batch entry point.  Contracted
-        queries run a *vectorized log-space fold* (see
-        :meth:`_log_fold_steps`): the root estimator's scalar path
-        accumulates ``log10`` terms in a fixed order (root vertices
-        ascending, then root edges in graph order), and a lane-wise
-        ``np.where(selected, acc + term, acc)`` sweep over those same terms
-        performs the identical IEEE-754 addition sequence for every mask at
-        once — bit-identical to :meth:`rows`, without the per-mask Python
-        translation walk that used to dominate kernelized fragment DP time
-        on 100-1000-relation queries.  The selectors are multi-word columns
-        themselves, so the fold runs natively at any graph width.
+        :func:`repro.core.widebitmap.view_for`) and is estimated in its own
+        layout: packed bit ``i`` stands for the root relations of vertex
+        ``i`` (of vertex ``spec[i]`` under a remap), which is all the root
+        estimator needs to lay its ``log10`` terms onto the layout
+        (:meth:`~repro.cost.cardinality.CardinalityEstimator.fold_schedule`)
+        and add each mask's terms in :meth:`rows`'s order
+        (:meth:`~repro.cost.cardinality.CardinalityEstimator.fold_rows`).
+        Root and contracted queries take the same path (a root query's
+        vertices are singletons), the estimates equal :meth:`rows` bit for
+        bit at any width, and no mask is translated or unpacked.
         """
-        remapped = spec is not None and not isinstance(spec, int)
-        if not self.is_contracted:
-            if remapped:
-                return self.cardinality.rows_batch(vertex_masks, spec)
-            return self.cardinality.rows_batch(vertex_masks)
         import numpy as np
 
         from . import widebitmap as wb
 
-        if isinstance(vertex_masks, np.ndarray) and vertex_masks.ndim == 2:
-            packed = vertex_masks
-            mask_list = wb.unpack(packed, spec)
-        else:
-            mask_list = [int(mask) for mask in vertex_masks]
-            packed = wb.pack(mask_list, wb.words_for(self.graph.n_relations))
-            remapped = False
-        if estimator_overrides_rows(self.root.cardinality):
-            # A custom estimator (e.g. a q-error PerturbedEstimator) must
-            # observe every mask through rows(); the log-space fold below
-            # reconstructs estimates from base cardinalities and would
-            # silently bypass the override.
-            return np.array([self.rows(mask) for mask in mask_list],
-                            dtype=np.float64)
-        if remapped:
-            values, selectors = self._fold_steps_for_spec(spec)
-        else:
-            values, selectors = self._log_fold_steps()
-        # Steps whose selector is not contained in the batch's mask union
-        # can never fire for any mask of the batch; dropping them leaves the
-        # surviving additions in the same order, so the IEEE-754 sequence
-        # each mask sees is unchanged (bit-identity holds).  A fragment DP
-        # batch on a wide contracted query keeps ~fragment-size steps out of
-        # hundreds.
-        if len(mask_list):
-            union = np.bitwise_or.reduce(packed, axis=0)
-            keep = ((selectors & ~union[None, :]) == 0).all(axis=1)
-            if not keep.all():
-                values = values[keep]
-                selectors = selectors[keep]
-        n_steps = len(values)
-        value_list = values.tolist()
-        acc = np.zeros(len(mask_list), dtype=np.float64)
-        # Precompute the (masks, steps) selection matrix word-by-word (a
-        # handful of large array ops instead of one tiny ``.all`` reduction
-        # per step), then run the order-pinned accumulation over its
-        # columns.  Chunked over masks to bound the matrix size.
-        chunk = max(1, (1 << 22) // max(1, n_steps))
-        # Words where every (surviving) selector is zero test trivially true
-        # for every mask — skip them.  After the union filter above, a
-        # fragment batch on a wide graph typically leaves one active word;
-        # when the survivors straddle words, remap the fold onto the
-        # selectors' active *bits* (containment only inspects bits a
-        # selector sets, and per-step selection — hence the addition
-        # sequence — is invariant under the bit permutation).
-        active_words = np.flatnonzero(selectors.any(axis=0)).tolist()
-        fold_selectors = selectors
-        fold_packed = packed
-        if len(active_words) > 1:
-            union_row = np.bitwise_or.reduce(selectors, axis=0)
-            positions: List[int] = []
-            for word in active_words:
-                word_value = int(union_row[word])
-                base = wb.WORD_BITS * word
-                while word_value:
-                    low = word_value & -word_value
-                    positions.append(base + low.bit_length() - 1)
-                    word_value ^= low
-            if wb.words_for(len(positions)) < len(active_words):
-                fold_selectors = wb.gather_bits(selectors, positions)
-                fold_packed = wb.gather_bits(packed, positions)
-                active_words = list(range(fold_selectors.shape[1]))
-        for start in range(0, len(mask_list), chunk):
-            rows = fold_packed[start:start + chunk]
-            selected = np.ones((len(rows), n_steps), dtype=bool)
-            for word in active_words:
-                sel_word = fold_selectors[:, word]
-                selected &= ((rows[:, word][:, None] & sel_word[None, :])
-                             == sel_word[None, :])
-            acc_rows = np.zeros(len(rows), dtype=np.float64)
-            for step in range(n_steps):
-                acc_rows = np.where(selected[:, step],
-                                    acc_rows + value_list[step], acc_rows)
-            acc[start:start + chunk] = acc_rows
+        if not (isinstance(vertex_masks, np.ndarray) and vertex_masks.ndim == 2):
+            spec = wb.words_for(self.graph.n_relations)
+            vertex_masks = wb.pack([int(mask) for mask in vertex_masks], spec)
+        elif spec is None:
+            spec = vertex_masks.shape[1]
+        # DPsize levels repeat a target once per candidate pair: estimate
+        # each distinct set once.
+        _, first, inverse = np.unique(wb.sort_keys(vertex_masks),
+                                      return_index=True, return_inverse=True)
+        distinct = vertex_masks[first]
         estimator = self.root.cardinality
-        # Final exponentiation stays on Python's ``**`` (inside the
-        # estimator's shared clamp helper) so the rounding is literally
-        # the scalar path's; results feed the local memo so later
-        # scalar rows() calls on the same masks are cache hits.
-        estimates = [estimator.from_log10(log_estimate)
-                     for log_estimate in acc.tolist()]
-        cache = self._rows_cache
-        for mask, estimate in zip(mask_list, estimates):
-            cache[mask] = estimate
-        return np.array(estimates, dtype=np.float64)
-
-    def _log_fold_steps(self):
-        """The contracted query's log-space accumulation schedule.
-
-        One ``(log10 term, local selector mask)`` pair per root vertex of
-        the query's span (ascending root index, selector = the composite
-        vertex's local bit) followed by one per root edge inside the span
-        (graph edge order, selector = both endpoints' composite bits) —
-        exactly the term sequence the root estimator's scalar loop adds for
-        any mask, restricted lane-wise by the selectors.  Selectors are a
-        packed ``(steps, words)`` uint64 column so the fold works at any
-        local width.  Built once per query object.
-        """
-        import math
-
-        import numpy as np
-
-        from . import widebitmap as wb
-
-        cached = getattr(self, "_fold_steps", None)
-        if cached is not None:
-            return cached
-        root = self.root
-        composite_bit: Dict[int, int] = {}
-        span = 0
-        for local_index, vertex_mask in enumerate(self.vertex_masks):
-            span |= vertex_mask
-            for root_vertex in bms.iter_bits(vertex_mask):
-                composite_bit[root_vertex] = bms.bit(local_index)
-        values: List[float] = []
-        selectors: List[int] = []
-        base = root.cardinality.base_cardinalities
-        for root_vertex in bms.iter_bits(span):
-            values.append(math.log10(base[root_vertex]))
-            selectors.append(composite_bit[root_vertex])
-        for edge in root.graph.edges_within(span):
-            values.append(math.log10(edge.selectivity))
-            selectors.append(composite_bit[edge.left] | composite_bit[edge.right])
-        steps = (np.array(values, dtype=np.float64),
-                 wb.pack(selectors, wb.words_for(self.graph.n_relations)))
-        self._fold_steps = steps
-        return steps
-
-    def _fold_steps_for_spec(self, spec):
-        """:meth:`_log_fold_steps` restricted and remapped to a run's spec.
-
-        Keeps exactly the steps whose selector lies inside the spec's scope
-        (in the full schedule's order) and gathers their selectors into the
-        spec's compact layout, so a scoped kernel run folds its own packed
-        column directly.  Dropped steps could never fire for a mask of the
-        scope, and the survivors keep their relative order, so the IEEE-754
-        addition sequence any in-scope mask sees is unchanged (bit-identity
-        with :meth:`rows` holds).  Cached per spec: one fragment
-        re-optimization asks for the same spec once per DP level.
-        """
-        cache = getattr(self, "_fold_spec_steps", None)
-        if cache is None:
-            cache = self._fold_spec_steps = {}
-        cached = cache.get(spec)
-        if cached is not None:
-            return cached
-        from . import widebitmap as wb
-
-        values, selectors = self._log_fold_steps()
-        scope_row = wb.pack_one(sum(1 << position for position in spec),
-                                selectors.shape[1])
-        keep = ((selectors & ~scope_row[None, :]) == 0).all(axis=1)
-        steps = (values[keep], wb.gather_bits(selectors[keep], spec))
-        cache[spec] = steps
-        return steps
+        if estimator_overrides_rows(estimator):
+            # A custom estimator (e.g. a q-error PerturbedEstimator) must
+            # observe every mask through rows(); the fold below adds the
+            # base terms and would silently bypass the override.
+            estimates = np.array([self.rows(mask)
+                                  for mask in wb.unpack(distinct, spec)],
+                                 dtype=np.float64)
+            return estimates[inverse]
+        local_roots = (self.vertex_masks if isinstance(spec, int)
+                       else [self.vertex_masks[vertex] for vertex in spec])
+        values, _, _, selectors = estimator.fold_schedule(local_roots)
+        # A term whose bits the batch's union lacks is never selected;
+        # dropping it keeps the survivors' order.
+        union = np.bitwise_or.reduce(distinct, axis=0)
+        keep = wb.contains(union[None, :], selectors)[0]
+        values, selectors = values[keep], selectors[keep]
+        estimates = estimator.fold_rows(
+            values,
+            lambda start, stop: wb.contains(distinct[start:stop], selectors),
+            len(distinct))
+        return estimates[inverse]
 
     def leaf_plan(self, vertex: int) -> Plan:
         """Access plan for one vertex (a scan, or a pre-built composite plan)."""
@@ -527,14 +394,10 @@ class QueryInfo:
         which makes plans produced over the extracted fragment bit-identical
         to plans produced by subset-scoped optimization on this query.
 
-        Extraction is the *numpy-less fallback* for the large-query
-        heuristics (IDP2, UnionDP), which optimize fragments of at most
-        ``k`` relations inside 100-1000-relation graphs: the kernel
-        backends carry multi-word bitmap columns
-        (:mod:`repro.core.widebitmap`) and run wide fragments natively,
-        subset-scoped, but without numpy the compact renumbering keeps the
-        scalar loops' Python bigints small.  It also remains the explicitly
-        requestable legacy route
+        The large-query heuristics (IDP2, UnionDP) optimize their fragments
+        natively, subset-scoped (the kernel backends carry multi-word bitmap
+        columns, :mod:`repro.core.widebitmap`); extraction remains the
+        explicitly requestable legacy route
         (:data:`repro.heuristics.common.FRAGMENT_DISPATCH`) that the
         native-vs-extract benchmark compares against.
         """

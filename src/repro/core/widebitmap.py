@@ -53,12 +53,11 @@ __all__ = [
     "compact",
     "expand",
     "pack",
-    "pack_one",
     "unpack",
     "unpack_one",
     "sort_keys",
-    "gather_bits",
     "any_bits",
+    "contains",
     "popcount_rows",
     "bit_positions",
     "one_hot_words",
@@ -242,20 +241,6 @@ def pack(masks: Sequence[int], spec):
     return column
 
 
-def pack_one(mask: int, spec):
-    """Pack one Python-int vertex set into a ``(words,)`` uint64 row."""
-    np = _numpy()
-    if not isinstance(spec, int):
-        value = compact(mask, spec)
-        return np.fromiter(
-            ((value >> (WORD_BITS * word)) & WORD_MASK
-             for word in range(words_for(len(spec)))),
-            dtype=np.uint64, count=words_for(len(spec)))
-    return np.fromiter(
-        ((mask >> (WORD_BITS * word)) & WORD_MASK for word in range(spec)),
-        dtype=np.uint64, count=spec)
-
-
 def _unpack_identity(column) -> List[int]:
     values = None
     for word in range(column.shape[1]):
@@ -337,27 +322,6 @@ def sort_keys(column):
 
 
 @kernel
-def gather_bits(column, positions):
-    """Remap an identity-packed column onto a dense bit subset.
-
-    ``positions`` is an ascending sequence of source bit positions; output
-    bit ``i`` of each row is input bit ``positions[i]`` (all other bits are
-    dropped).  The column-space analogue of packing with a remap spec —
-    used when a caller already holds identity-packed rows and wants the
-    narrow layout without a Python-int round trip.  Contiguous position
-    runs move with one shift-and-mask each (:func:`_remap_runs`).
-    """
-    np = _numpy()
-    out = np.zeros((len(column), words_for(len(positions))), dtype=np.uint64)
-    for source_word, source_offset, dest_word, dest_offset, length \
-            in _remap_runs(positions):  # loop: runs — shift-and-mask spans
-        run = ((column[:, source_word] >> np.uint64(source_offset))
-               & np.uint64((1 << length) - 1))
-        out[:, dest_word] |= run << np.uint64(dest_offset)
-    return out
-
-
-@kernel
 def any_bits(stack):
     """Per-set "is non-empty" over the trailing word axis (bool array).
 
@@ -365,6 +329,22 @@ def any_bits(stack):
     intersection tests (``any_bits(a & b)`` == "a overlaps b").
     """
     return stack.any(axis=-1)
+
+
+@kernel
+def contains(column, masks):
+    """``(m, s)`` bool: whether row ``i`` of ``column`` holds every bit of
+    row ``j`` of ``masks`` (an ``(s, words)`` column in the same layout).
+
+    The lane-wise form of ``mask & row == mask`` for every pair at once.
+    """
+    np = _numpy()
+    held = np.ones((len(column), len(masks)), dtype=bool)
+    for word in range(masks.shape[1]):  # loop: words — one subset test per bitset word
+        mask_word = masks[:, word]
+        if mask_word.any():
+            held &= (column[:, word, None] & mask_word) == mask_word
+    return held
 
 
 @kernel

@@ -18,9 +18,10 @@ the same sets over and over while evaluating alternative splits.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import bitmapset as bms
+from ..core.contracts import kernel
 from ..core.joingraph import JoinGraph
 
 __all__ = ["CardinalityEstimator", "estimator_overrides_rows"]
@@ -29,15 +30,16 @@ __all__ = ["CardinalityEstimator", "estimator_overrides_rows"]
 def estimator_overrides_rows(estimator: "CardinalityEstimator") -> bool:
     """True when a subclass replaced :meth:`CardinalityEstimator.rows`.
 
-    The vectorized fold paths (:meth:`CardinalityEstimator.rows_batch` with a
-    remap spec, :meth:`repro.core.query.QueryInfo.rows_batch` on contracted
-    queries, :func:`repro.exec.heuristic_kernels.lindp_merge`'s interval fold)
-    reconstruct estimates directly from base cardinalities and edge
-    selectivities — bit-identical to the *base* scalar path, but blind to any
-    subclass override such as :class:`repro.execution.perturb.PerturbedEstimator`.
-    Every fold entry point consults this predicate and falls back to per-mask
-    ``rows()`` calls for overriding estimators, so custom estimation is never
-    silently bypassed by a kernel backend.
+    The batched estimates (:meth:`repro.core.query.QueryInfo.rows_batch` and
+    the interval estimates of :func:`repro.exec.heuristic_kernels.lindp_merge`)
+    add the estimator's ``log10`` terms through
+    :meth:`CardinalityEstimator.fold_schedule` and
+    :meth:`CardinalityEstimator.fold_rows` — bit-identical to the *base*
+    scalar path, but blind to any subclass override such as
+    :class:`repro.execution.perturb.PerturbedEstimator`.  Both call sites
+    consult this predicate and fall back to per-mask ``rows()`` calls for
+    overriding estimators, so custom estimation is never silently bypassed
+    by a kernel backend.
     """
     return type(estimator).rows is not CardinalityEstimator.rows
 
@@ -50,16 +52,15 @@ class CardinalityEstimator:
         if len(base_cardinalities) != graph.n_relations:
             raise ValueError("need one base cardinality per relation")
         for rows in base_cardinalities:
-            if rows <= 0:
-                raise ValueError("base cardinalities must be positive")
+            if not 0 < rows < math.inf:
+                raise ValueError(
+                    f"base cardinalities must be positive and finite, got {rows!r}")
         self.graph = graph
         self.base_cardinalities = list(base_cardinalities)
         self.min_rows = min_rows
         self._cache: Dict[int, float] = {}
-        #: Per-scope fold schedules for :meth:`rows_batch`'s remap path,
-        #: keyed by the run's bit-remap spec (see
-        #: :func:`repro.core.widebitmap.view_for`).
-        self._fold_steps: Dict[tuple, tuple] = {}
+        self._terms: Optional[Tuple[List[float], List[float]]] = None
+        self._schedules: Dict[tuple, tuple] = {}
 
     def base_rows(self, relation: int) -> float:
         """Cardinality of a single base relation (after pushed-down selections)."""
@@ -88,13 +89,17 @@ class CardinalityEstimator:
         The product of base cardinalities over hundreds of relations overflows
         IEEE doubles long before the selectivities bring it back down, so the
         estimate is accumulated in log space and only exponentiated at the
-        end (capped at :data:`MAX_ROWS`).
+        end (capped at :data:`MAX_ROWS`).  The terms come from
+        :meth:`log10_terms` and are added relations ascending, then edges in
+        graph order; the batched paths (:meth:`fold_rows`) add them in the
+        same order, which is what keeps every backend bit-identical.
         """
         if relations == 0:
             raise ValueError("cannot estimate cardinality of the empty set")
         cached = self._cache.get(relations)
         if cached is not None:
             return cached
+        vertex_terms, edge_terms = self.log10_terms()
         log_estimate = 0.0
         rest = relations & (relations - 1)
         if rest != 0 and rest & (rest - 1) == 0:
@@ -108,158 +113,131 @@ class CardinalityEstimator:
             # path quadratic in edges on clique-shaped 1000-relation queries.
             left = bms.lowest_bit_index(relations)
             right = rest.bit_length() - 1
-            log_estimate += math.log10(self.base_cardinalities[left])
-            log_estimate += math.log10(self.base_cardinalities[right])
+            log_estimate += vertex_terms[left]
+            log_estimate += vertex_terms[right]
             edge = self.graph.edge_between(left, right)
             if edge is not None:
-                log_estimate += math.log10(edge.selectivity)
+                log_estimate += edge_terms[edge.index]
         else:
             for relation in bms.iter_bits(relations):
-                log_estimate += math.log10(self.base_cardinalities[relation])
+                log_estimate += vertex_terms[relation]
             for edge in self.graph.edges_within(relations):
-                log_estimate += math.log10(edge.selectivity)
+                log_estimate += edge_terms[edge.index]
         estimate = self.from_log10(log_estimate)
         self._cache[relations] = estimate
         return estimate
+
+    def log10_terms(self) -> Tuple[List[float], List[float]]:
+        """``log10`` of every base cardinality and of every edge selectivity.
+
+        The terms every estimate adds, indexed by relation and by
+        :attr:`JoinEdge.index <repro.core.joingraph.JoinEdge.index>`.  Built
+        on first use and dropped by :meth:`invalidate`; no other code takes
+        these logarithms, so the scalar and batched paths add the same
+        floats.
+        """
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = (
+                [math.log10(rows) for rows in self.base_cardinalities],
+                [math.log10(edge.selectivity) for edge in self.graph.edges])
+        return terms
+
+    def fold_schedule(self, local_roots: Sequence[int]):
+        """The terms of :meth:`rows` laid onto a local bit layout.
+
+        ``local_roots[i]`` is the mask of root relations that local bit
+        ``i`` stands for: ``1 << i`` in a root query's identity layout,
+        ``1 << spec[i]`` under a bit-remap spec, a composite vertex's
+        relations in a contracted query, or the vertex at position ``i`` of
+        LinDP's linear order.  Returns ``(values, near, far, selectors)``
+        with one term per relation of the layout's span (ascending), then
+        one per edge inside the span (graph order) — the order in which
+        :meth:`rows` adds them.  ``near <= far`` (int64) are the local bits
+        holding the term's relations (equal for a relation and for an edge
+        inside one composite), and ``selectors`` packs the same bits as a
+        ``(terms, words)`` column (:mod:`repro.core.widebitmap`); a local
+        set's estimate adds the terms whose bits it holds.  Cached per
+        layout and dropped by :meth:`invalidate`.
+        """
+        import numpy as np
+
+        from ..core import widebitmap as wb
+
+        key = tuple(local_roots)
+        schedule = self._schedules.get(key)
+        if schedule is not None:
+            return schedule
+        vertex_terms, edge_terms = self.log10_terms()
+        local_of: Dict[int, int] = {}
+        span = 0
+        for local, roots in enumerate(key):
+            span |= roots
+            for relation in bms.iter_bits(roots):
+                local_of[relation] = local
+        values: List[float] = []
+        near: List[int] = []
+        far: List[int] = []
+        for relation in bms.iter_bits(span):
+            values.append(vertex_terms[relation])
+            near.append(local_of[relation])
+            far.append(local_of[relation])
+        for edge in self.graph.edges_within(span):
+            ends = sorted((local_of[edge.left], local_of[edge.right]))
+            values.append(edge_terms[edge.index])
+            near.append(ends[0])
+            far.append(ends[1])
+        schedule = (np.array(values, dtype=np.float64),
+                    np.array(near, dtype=np.int64),
+                    np.array(far, dtype=np.int64),
+                    wb.pack([(1 << low) | (1 << high)
+                             for low, high in zip(near, far)],
+                            wb.words_for(len(key))))
+        if len(self._schedules) >= 256:
+            self._schedules.clear()
+        self._schedules[key] = schedule
+        return schedule
+
+    @kernel
+    def fold_rows(self, values, select, count):
+        """Estimates of ``count`` local sets from schedule terms ``values``.
+
+        ``select(start, stop)`` returns the ``(stop - start, len(values))``
+        bool matrix of the terms sets ``start .. stop - 1`` hold (see
+        :meth:`fold_schedule`).  Unselected terms become 0.0 and every row
+        is summed left to right with ``np.add.accumulate``: adding 0.0 leaves
+        a float unchanged, and so does starting from the first term instead
+        of from 0.0 (``log10`` never returns -0.0), so each set gets exactly
+        the IEEE-754 sum :meth:`rows` computes for it.  ``np.sum`` adds
+        pairwise and, from Python 3.12, builtin ``sum`` compensates, so
+        neither may replace it.  Rows go in chunks of about a million terms
+        to bound the float64 temporaries, and sums finish through
+        :meth:`from_log10`.
+        """
+        import numpy as np
+
+        log_estimates = np.zeros(count, dtype=np.float64)
+        if len(values):
+            chunk = max(1, (1 << 20) // len(values))
+            for start in range(0, count, chunk):  # loop: chunks — bounds the (rows, terms) temporaries
+                stop = min(start + chunk, count)
+                terms = np.where(select(start, stop), values, 0.0)
+                log_estimates[start:stop] = np.add.accumulate(terms, axis=1)[:, -1]
+        return np.array([self.from_log10(log_estimate)
+                         for log_estimate in log_estimates.tolist()],
+                        dtype=np.float64)
 
     def from_log10(self, log_estimate: float) -> float:
         """Exponentiate and clamp a log-space estimate, exactly as
         :meth:`rows` does.
 
-        The single home of the overflow-cap / ``min_rows`` tail: the
-        vectorized log-space folds (:meth:`repro.core.query.QueryInfo.rows_batch`
-        on contracted queries, :func:`repro.exec.heuristic_kernels.lindp_merge`'s
-        interval fold) finish their accumulators through this method, so the
-        scalar/kernel bit-identity contract cannot drift on a one-sided
-        clamp change.
+        The single home of the overflow-cap / ``min_rows`` tail, shared by
+        :meth:`rows` and :meth:`fold_rows`, so the scalar/kernel
+        bit-identity contract cannot drift on a one-sided clamp change.
         """
         estimate = (self.MAX_ROWS if log_estimate >= 300.0
                     else 10.0 ** log_estimate)
         return max(estimate, self.min_rows)
-
-    def rows_batch(self, masks, spec=None):
-        """Estimates for a whole batch of relation sets, as a float64 array.
-
-        The batched entry point of the kernel backends: the batch is
-        deduplicated with numpy (DP levels ask for the same target set once
-        per candidate pair), each *distinct* set is estimated once, and the
-        results are gathered back.  Without a ``spec`` the per-set estimate
-        stays on the scalar log-space accumulation of :meth:`rows` —
-        IEEE-754 summation order is part of the bit-identity contract
-        between the scalar and vectorized backends, and it shares the same
-        memo, so a set estimated by either backend is a cache hit for the
-        other.
-
-        ``masks`` is either a sequence of Python-int bitmaps or an
-        already-packed ``(m, words)`` uint64 column
-        (:mod:`repro.core.widebitmap`); wide sets dedup on the packed
-        column's sort keys, so no mask ever has to squeeze into one int64
-        lane.  A packed column may carry the run's bit-remap ``spec``
-        (:func:`~repro.core.widebitmap.view_for`): scope-restricted batches
-        then fold the log terms lane-wise in the compact layout
-        (:meth:`_rows_fold`) instead of walking the memo per set, which is
-        what keeps subset-scoped fragment runs on wide graphs free of
-        per-mask bigint work.  The fold performs the exact addition
-        sequence of :meth:`rows` per mask and finishes through
-        :meth:`from_log10`, so the memo and both entry points stay
-        bit-identical.
-        """
-        import numpy as np
-
-        from ..core import widebitmap as wb
-
-        if isinstance(masks, np.ndarray) and masks.ndim == 2:
-            packed = masks
-        else:
-            mask_list = [int(mask) for mask in masks]
-            packed = wb.pack(mask_list, wb.words_for(max(mask_list,
-                                                         default=0).bit_length()))
-            spec = None
-        keys = wb.sort_keys(packed)
-        _, first_index, inverse = np.unique(keys, return_index=True,
-                                            return_inverse=True)
-        if (spec is not None and not isinstance(spec, int)
-                and len(first_index) and not estimator_overrides_rows(self)):
-            estimates = self._rows_fold(packed[first_index], spec)
-        else:
-            estimates = np.array(
-                [self.rows(mask) for mask in wb.unpack(packed[first_index])],
-                dtype=np.float64)
-        return estimates[inverse]
-
-    def _fold_steps_for_spec(self, spec):
-        """The scope's log-fold schedule: ``(log10 terms, selector column)``.
-
-        One step per scope member (ascending bit position, selector = the
-        member's packed bit) followed by one per edge inside the scope
-        (graph edge order, selector = the edge's packed endpoint pair) —
-        exactly the terms :meth:`rows`'s scalar loop adds for any mask of
-        the scope, in the same order (the two-relation fast path adds
-        vertices-ascending-then-the-edge, which is the same sequence).
-        Selectors live in the spec's compact layout.  Cached per spec.
-        """
-        cached = self._fold_steps.get(spec)
-        if cached is not None:
-            return cached
-        import numpy as np
-
-        from ..core import widebitmap as wb
-
-        values = []
-        selectors = []
-        for index, position in enumerate(spec):
-            values.append(math.log10(self.base_cardinalities[position]))
-            selectors.append(1 << index)
-        scope_mask = 0
-        for position in spec:
-            scope_mask |= 1 << position
-        for edge in self.graph.edges_within(scope_mask):
-            values.append(math.log10(edge.selectivity))
-            selectors.append(wb.compact(edge.mask, spec))
-        steps = (np.array(values, dtype=np.float64),
-                 wb.pack(selectors, wb.spec_words(spec)))
-        if len(self._fold_steps) >= 256:
-            self._fold_steps.clear()
-        self._fold_steps[spec] = steps
-        return steps
-
-    def _rows_fold(self, rows, spec):
-        """Vectorized :meth:`rows` over deduplicated compact-layout rows.
-
-        Performs, for every row at once, the identical IEEE-754 log10
-        addition sequence the scalar path runs for that mask — steps whose
-        selector is not contained in the batch union can never fire and are
-        dropped without reordering the survivors — then exponentiates
-        through :meth:`from_log10` and feeds the shared memo.
-        """
-        import numpy as np
-
-        from ..core import widebitmap as wb
-
-        values, selectors = self._fold_steps_for_spec(spec)
-        union = np.bitwise_or.reduce(rows, axis=0)
-        keep = ((selectors & ~union[None, :]) == 0).all(axis=1)
-        if not keep.all():
-            values = values[keep]
-            selectors = selectors[keep]
-        n_steps = len(values)
-        value_list = values.tolist()
-        selected = np.ones((len(rows), n_steps), dtype=bool)
-        for word in range(rows.shape[1]):
-            sel_word = selectors[:, word]
-            if not sel_word.any():
-                continue
-            selected &= ((rows[:, word][:, None] & sel_word[None, :])
-                         == sel_word[None, :])
-        acc = np.zeros(len(rows), dtype=np.float64)
-        for step in range(n_steps):
-            acc = np.where(selected[:, step], acc + value_list[step], acc)
-        estimates = [self.from_log10(log_estimate)
-                     for log_estimate in acc.tolist()]
-        cache = self._cache
-        for mask, estimate in zip(wb.unpack(rows, spec), estimates):
-            cache[mask] = estimate
-        return np.array(estimates, dtype=np.float64)
 
     def join_rows(self, left: int, right: int) -> float:
         """Cardinality of joining two disjoint relation sets.
@@ -279,6 +257,8 @@ class CardinalityEstimator:
         return selectivity
 
     def invalidate(self) -> None:
-        """Drop the memoised estimates (used after mutating selectivities)."""
+        """Drop the memoised estimates and the ``log10`` terms (used after
+        adding edges or mutating selectivities)."""
         self._cache.clear()
-        self._fold_steps.clear()
+        self._terms = None
+        self._schedules.clear()

@@ -22,12 +22,7 @@ from .backend import (
     vectorized_supported,
     words_for,
 )
-from .heuristic_kernels import (
-    greedy_union_partition,
-    heuristic_kernels_supported,
-    lindp_merge,
-    pair_rows,
-)
+from .heuristic_kernels import greedy_union_partition, lindp_merge
 
 __all__ = [
     "AUTO_MULTICORE_MIN_RELATIONS",
@@ -38,10 +33,8 @@ __all__ = [
     "KernelState",
     "ScalarBackend",
     "greedy_union_partition",
-    "heuristic_kernels_supported",
     "iter_tree_edge_splits",
     "lindp_merge",
-    "pair_rows",
     "resolve_backend",
     "validate_workers",
     "vectorized_supported",

@@ -3,7 +3,7 @@
 The exact algorithms got their kernel pipeline in :mod:`repro.exec.vectorized`
 (per-level unrank / filter / evaluate / scatter-min).  The heuristics that
 plan 100-1000-relation queries have their own inner loops that dominate at
-that scale, and this module gives each of them the same treatment:
+that scale, and this module gives two of them the same treatment:
 
 * :func:`lindp_merge` — LinearizedDP's quadratic interval-merge loop as one
   batched kernel per DP length: candidate splits of every same-length
@@ -12,6 +12,9 @@ that scale, and this module gives each of them the same treatment:
   exact kernels' multi-word bitmap columns), costed
   with a single :meth:`~repro.cost.base.CostModel.cost_batch` call, and
   reduced per interval with the scalar loop's first-cheapest-wins rule.
+  Interval output cardinalities come from the estimator's one fold kernel
+  (:meth:`~repro.cost.cardinality.CardinalityEstimator.fold_rows`), which
+  selects each interval's terms by its position bounds.
   Plans are materialised only for the winning split tree (O(n) joins instead
   of one Plan object per valid split), with an arena-style drift check that
   the materialised root cost equals the DP's batched cost.
@@ -21,12 +24,10 @@ that scale, and this module gives each of them the same treatment:
   weight, scan position)`` key is found with masked ``min``/``argmax``
   passes over endpoint-root columns instead of a Python rescan of every
   edge, and root columns are rewritten in bulk after each union.
-* :func:`pair_rows` — the batched form of the greedy candidate scans (GOO's
-  initial heap build, UnionDP's edge weighting): one gather of every edge's
-  two-relation output estimate.  The per-pair estimate deliberately stays on
-  :meth:`CardinalityEstimator.rows <repro.cost.cardinality.CardinalityEstimator.rows>`
-  (which has an O(1) two-relation fast path) because IEEE-754 log-space
-  accumulation order is part of the scalar/kernel bit-identity contract.
+
+The greedy candidate scans (GOO's heap, IDP1's seed edge, UnionDP's edge
+weights) stay scalar loops over ``query.rows``: each pair estimate is one
+O(1) lookup through the estimator's two-relation fast path.
 
 Every kernel is bit-identical to the scalar loop it replaces — same plans,
 same costs, same counters — so the heuristics can expose the standard
@@ -36,7 +37,7 @@ exact optimizers make.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import bitmapset as bms
 from ..core.contracts import kernel
@@ -47,25 +48,9 @@ from ..core.unionfind import UnionFind
 from ..cost.cardinality import estimator_overrides_rows
 
 __all__ = [
-    "heuristic_kernels_supported",
     "lindp_merge",
     "greedy_union_partition",
-    "pair_rows",
 ]
-
-
-def heuristic_kernels_supported() -> bool:
-    """True when numpy is importable (the only requirement).
-
-    The heuristic kernels work in *position* space (indices into a linear
-    order or an edge list); the exact-DP kernels carry multi-word bitmap
-    columns — neither has a relation-count ceiling.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is an install requirement
-        return False
-    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -85,7 +70,10 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
     the *first* strict cost minimum (``argmin``'s tie rule == the scalar
     ``<`` update); costs come from ``cost_batch``, whose contract is
     bit-equality with ``join()``; and interval output cardinalities come
-    from the same memoized ``query.rows`` the scalar ``join`` consults.
+    from the estimator's ``fold_schedule`` / ``fold_rows``, which select
+    each interval's terms by its position bounds and add them in
+    ``rows()``'s term order, so every estimate equals the scalar one bit
+    for bit.
     """
     import numpy as np
 
@@ -126,66 +114,31 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
     prefix = np.zeros((n + 1, n + 1), dtype=np.int64)
     prefix[1:, 1:] = np.cumsum(np.cumsum(member, axis=0), axis=1)
 
-    # Interval output cardinalities via an exact log-space fold.  The
-    # estimator's scalar path adds ``log10`` terms in a fixed order (root
-    # vertices ascending, then root edges in graph order); every interval
-    # [i, i+L-1] receives the terms whose position span it covers, so one
-    # slice-add per term per length performs the identical IEEE-754
-    # addition sequence for all same-length intervals at once —
-    # bit-identical to the per-mask ``query.rows`` walk it replaces.
-    import math
-
-    if query.is_contracted:
-        estimator = query.root.cardinality
-        position_of_root: Dict[int, int] = {}
-        span = 0
-        for position, local_vertex in enumerate(order):  # loop: positions — contracted-vertex span setup
-            vertex_mask = query.vertex_masks[local_vertex]
-            span |= vertex_mask
-            for root_vertex in bms.iter_bits(vertex_mask):  # loop: vertices
-                position_of_root[root_vertex] = position
-    else:
-        estimator = query.cardinality
-        span = scope
-        position_of_root = {vertex: position
-                            for position, vertex in enumerate(order)}
-    fold_steps: List[Tuple[float, int, int]] = []
-    for root_vertex in bms.iter_bits(span):  # loop: vertices — one fold step per scope member
-        position = position_of_root[root_vertex]
-        fold_steps.append((math.log10(estimator.base_cardinalities[root_vertex]),
-                           position, position))
-    for edge in estimator.graph.edges_within(span):  # loop: edges — one fold step per scope edge
-        left_position = position_of_root[edge.left]
-        right_position = position_of_root[edge.right]
-        if left_position > right_position:
-            left_position, right_position = right_position, left_position
-        fold_steps.append((math.log10(edge.selectivity),
-                           left_position, right_position))
-
+    # Interval output cardinalities: position p of the order is the local
+    # bit of vertex order[p], so the root estimator's fold schedule gives
+    # each term the positions it needs, and interval [start, end] holds
+    # the terms with start <= near and far <= end.
+    estimator = query.root.cardinality
     fold_ok = not estimator_overrides_rows(estimator)
+    if fold_ok:
+        values, near, far, _ = estimator.fold_schedule(
+            [query.vertex_masks[vertex] for vertex in order])
 
-    def interval_rows(length: int, m: int) -> "np.ndarray":
+    def interval_rows(starts, length):
         if not fold_ok:
             # A custom estimator (e.g. a q-error PerturbedEstimator) must
-            # observe every interval through rows(); the slice fold below
-            # reconstructs estimates from base statistics and would bypass
-            # the override.
+            # observe every interval through rows(); the fold adds the base
+            # terms and would bypass the override.
             return np.array(
                 [query.rows(interval_mask[start][start + length - 1])
-                 for start in range(m)],
+                 for start in starts.tolist()],
                 dtype=np.float64)
-        acc = np.zeros(m, dtype=np.float64)
-        for value, near, far in fold_steps:  # loop: fold-steps  # repro-lint: estimator-fold
-            low = far - length + 1
-            if low < 0:
-                low = 0
-            high = near if near < m - 1 else m - 1
-            if low <= high:
-                acc[low:high + 1] += value
-        return np.array(
-            [estimator.from_log10(log_estimate)
-             for log_estimate in acc.tolist()],
-            dtype=np.float64)
+
+        def select(first, stop):
+            low = starts[first:stop, None]
+            return (low <= near) & (far < low + length)
+
+        return estimator.fold_rows(values, select, len(starts))
 
     model = query.cost_model
     for length in range(2, n + 1):  # loop: lengths — one batch per interval length
@@ -207,7 +160,11 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
         if n_ccp == 0:
             continue
 
-        out = interval_rows(length, m)
+        # Only intervals with a valid split use their estimate (as in the
+        # scalar loop, which estimates through join()).
+        has_split = valid.any(axis=1)
+        out = np.zeros(m)
+        out[has_split] = interval_rows(starts[has_split], length)
         vrow, vcol = np.nonzero(valid)
         split_abs = splits[vrow, vcol]
         candidate_cost = np.full(valid.shape, np.inf)
@@ -311,24 +268,3 @@ def greedy_union_partition(
         left_root[stale] = new_root
         stale = (right_root == old_left) | (right_root == old_right)
         right_root[stale] = new_root
-
-
-# --------------------------------------------------------------------------- #
-# GOO / IDP1: batched candidate-pair estimation
-# --------------------------------------------------------------------------- #
-@kernel
-def pair_rows(query: QueryInfo, pairs: Sequence[Tuple[int, int]]):
-    """Output-cardinality estimates for a batch of vertex pairs (float64).
-
-    The batched form of the greedy min-edge scans: GOO's initial candidate
-    heap and UnionDP's edge weighting both estimate ``rows({a, b})`` for
-    every edge.  Estimates come from the memoized scalar ``query.rows`` per
-    pair — a deliberate choice (shared memo + identical accumulation order
-    == bit-identity with the scalar scan), with the estimator's two-relation
-    fast path keeping each probe O(1).
-    """
-    import numpy as np
-
-    return np.array(
-        [query.rows(bms.bit(a) | bms.bit(b)) for a, b in pairs],
-        dtype=np.float64)

@@ -21,8 +21,9 @@ Contract:
   from a dedicated :class:`numpy.random.Generator` per set.  Re-planning the
   same query under the same ``(q, seed)`` sees identical estimates, in any
   order, from any backend.
-* **Backend-agnostic**: the kernel backends' batched entry points
-  (``rows_batch`` and the heuristic folds) detect estimators that override
+* **Backend-agnostic**: both callers of the batched fold
+  (:meth:`~repro.core.query.QueryInfo.rows_batch` and ``lindp_merge``'s
+  interval estimates) detect estimators that override
   :meth:`~repro.cost.cardinality.CardinalityEstimator.rows` and route every
   mask through it, so scalar and vectorized planning under perturbation stay
   bit-identical.

@@ -1,8 +1,9 @@
 """Shared plumbing for the kernelized large-query heuristic drivers.
 
-The heuristic ladder (IDP2, UnionDP, LinDP, GOO) is the paper's answer to
-100-1000-relation queries, and its headline results (Tables 1-2) come from
-running the *parallel* DP kernel as the inner exact step.  Two pieces of
+The kernelized heuristic drivers (IDP1, IDP2, UnionDP, LinDP) are the
+paper's answer to 100-1000-relation queries, and its headline results
+(Tables 1-2) come from running the *parallel* DP kernel as the inner exact
+step.  Two pieces of
 plumbing make that work here:
 
 * :class:`HeuristicBackendMixin` — the standard ``backend=``/``workers=``
@@ -17,12 +18,10 @@ plumbing make that work here:
   full-width graph — sharing the graph's per-run
   :class:`~repro.core.enumeration.EnumerationContext` caches across every
   fragment of a run.  Extraction into a compact renumbered sub-query
-  (:meth:`~repro.core.query.QueryInfo.extract`) remains only as the
-  numpy-less fallback (the scalar loops have no width problem, but compact
-  masks keep their Python bigint operations small) and as an explicitly
-  requestable legacy route for benchmarking; both routes are bit-identical
-  by construction (shared leaf plans, root-routed cardinalities,
-  order-isomorphic enumeration), which
+  (:meth:`~repro.core.query.QueryInfo.extract`) remains only as an
+  explicitly requestable legacy route for benchmarking; both routes are
+  bit-identical by construction (shared leaf plans, root-routed
+  cardinalities, order-isomorphic enumeration), which
   ``benchmarks/bench_large_queries.py`` asserts at every size.
 """
 
@@ -31,12 +30,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.query import QueryInfo
-from ..exec import (
-    AUTO_VECTORIZE_MIN_RELATIONS,
-    BACKEND_NAMES,
-    heuristic_kernels_supported,
-    validate_workers,
-)
+from ..exec import AUTO_VECTORIZE_MIN_RELATIONS, BACKEND_NAMES, validate_workers
 from ..optimizers.base import JoinOrderOptimizer, PlanResult
 
 __all__ = ["HeuristicBackendMixin", "optimize_fragment", "FRAGMENT_DISPATCH"]
@@ -44,15 +38,14 @@ __all__ = ["HeuristicBackendMixin", "optimize_fragment", "FRAGMENT_DISPATCH"]
 #: How :func:`optimize_fragment` routes wide-graph fragments: ``"native"``
 #: (the default — subset-scoped on the full-width graph, multi-word kernel
 #: columns) or ``"extract"`` (the legacy renumber-into-compact-sub-query
-#: route, kept for numpy-less environments and for the native-vs-extract
-#: benchmark comparison).  Results are bit-identical either way; the toggle
-#: only moves time.
+#: route, kept for the native-vs-extract benchmark comparison).  Results
+#: are bit-identical either way; the toggle only moves time.
 FRAGMENT_DISPATCH = "native"
 
 #: Fragments at or below this relation count always take the subset-scoped
-#: path, even under ``"extract"`` dispatch or without numpy — extraction
-#: overhead cannot pay for itself on tiny fragments, and the scalar loops
-#: are width-agnostic anyway.
+#: path, even under ``"extract"`` dispatch — extraction overhead cannot
+#: pay for itself on tiny fragments, and the scalar loops are
+#: width-agnostic anyway.
 _EXTRACT_MIN_RELATIONS = 62
 
 
@@ -86,18 +79,15 @@ class HeuristicBackendMixin:
 
         ``batch_size`` is the number of items the batched loop would
         process — linear-order positions for LinearizedDP's merge,
-        candidate edges for the greedy scans.  ``scalar`` keeps the
+        candidate edges for UnionDP's partition scan.  ``scalar`` keeps the
         reference loops; explicit ``vectorized`` / ``multicore`` requests
-        batch whenever numpy is available (the heuristic kernels are
-        in-process either way — the multicore workers apply to the inner
-        exact DP levels, not the driver's merge loops); ``auto``
-        additionally requires the batch to be large enough to amortize
-        array setup (the same floor the exact kernels use for relation
-        counts).
+        always batch (the heuristic kernels are in-process either way — the
+        multicore workers apply to the inner exact DP levels, not the
+        driver's merge loops); ``auto`` additionally requires the batch to
+        be large enough to amortize array setup (the same floor the exact
+        kernels use for relation counts).
         """
         if self.backend == "scalar":
-            return False
-        if not heuristic_kernels_supported():
             return False
         if self.backend == "auto" and batch_size < AUTO_VECTORIZE_MIN_RELATIONS:
             return False
@@ -113,15 +103,13 @@ def optimize_fragment(exact: JoinOrderOptimizer, query: QueryInfo,
     renumbering, and every fragment of a run shares the graph's
     :class:`~repro.core.enumeration.EnumerationContext` caches.  The
     extract route (renumber the fragment into a compact sub-query first)
-    runs only without numpy or when :data:`FRAGMENT_DISPATCH` explicitly
-    requests it.  The returned plan is expressed over the same (root-space)
-    leaf plans either way, so results are bit-identical across the two
-    routes — and across backends, because the route never depends on the
-    backend.
+    runs only when :data:`FRAGMENT_DISPATCH` explicitly requests it.  The
+    returned plan is expressed over the same (root-space) leaf plans either
+    way, so results are bit-identical across the two routes — and across
+    backends, because the route never depends on the backend.
     """
     if (fragment != query.all_relations_mask
             and query.graph.n_relations > _EXTRACT_MIN_RELATIONS
-            and (FRAGMENT_DISPATCH == "extract"
-                 or not heuristic_kernels_supported())):
+            and FRAGMENT_DISPATCH == "extract"):
         return exact.optimize(query.extract(fragment))
     return exact.optimize(query, subset=fragment)

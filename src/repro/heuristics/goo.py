@@ -10,17 +10,16 @@ all IDP2 variants, we use GOO for the heuristic step").
 The implementation runs in ``O(E log E)`` by keeping the candidate joins in a
 heap keyed on estimated output cardinality and lazily discarding entries that
 became stale after a merge, so it comfortably handles the 1000-relation
-queries of Table 1.  With ``backend != "scalar"`` the initial min-edge scan
-(one pair estimate per join edge) is gathered as a batch through
-:func:`~repro.exec.heuristic_kernels.pair_rows`; the greedy merge itself is
-inherently sequential, so plans are bit-identical across backends by
-construction.
+queries of Table 1.  Every candidate is estimated with one ``query.rows``
+call (a pair of relations takes the estimator's O(1) two-relation fast
+path).  The greedy merge is inherently sequential and has no kernel loop,
+so GOO is scalar-only, like IKKBZ and GE-QO.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import bitmapset as bms
 from ..core.counters import OptimizerStats
@@ -28,21 +27,17 @@ from ..core.memo import MemoTable
 from ..core.plan import Plan
 from ..core.query import QueryInfo
 from ..optimizers.base import JoinOrderOptimizer
-from .common import HeuristicBackendMixin
 
 __all__ = ["GOO"]
 
 
-class GOO(HeuristicBackendMixin, JoinOrderOptimizer):
+class GOO(JoinOrderOptimizer):
     """Greedy Operator Ordering: repeatedly join the smallest-result pair."""
 
     name = "GOO"
     parallelizability = "sequential"
     exact = False
     execution_style = "sequential"
-
-    def __init__(self, backend: str = "scalar", workers: Optional[int] = None):
-        self._init_backend(backend, workers)
 
     def _run(self, query: QueryInfo, subset: int,
              memo: MemoTable, stats: OptimizerStats) -> Plan:
@@ -66,20 +61,9 @@ class GOO(HeuristicBackendMixin, JoinOrderOptimizer):
         # Candidate heap keyed on estimated join output cardinality.
         # Entries are (rows, tie_breaker, left_vertex, right_vertex).
         heap: List[Tuple[float, int, int, int]] = []
-        edges = graph.edges_within(subset)
-        if self._use_heuristic_kernels(len(edges)):
-            # Batched min-edge scan: gather every edge's pair estimate in
-            # one pass (the estimates and the (rows, counter) heap order are
-            # identical to the scalar loop, so plans are unchanged).
-            from ..exec import pair_rows
-
-            estimates = pair_rows(query, [(e.left, e.right) for e in edges])
-            heap = [(float(rows), index, edge.left, edge.right)
-                    for index, (rows, edge) in enumerate(zip(estimates, edges))]
-        else:
-            for edge in edges:
-                rows = query.rows(bms.bit(edge.left) | bms.bit(edge.right))
-                heap.append((rows, len(heap), edge.left, edge.right))
+        for edge in graph.edges_within(subset):
+            rows = query.rows(bms.bit(edge.left) | bms.bit(edge.right))
+            heap.append((rows, len(heap), edge.left, edge.right))
         counter = len(heap)
         heapq.heapify(heap)
 

@@ -32,7 +32,7 @@ snapshot state warm up across fragments instead of being rebuilt per
 subset-scoped against the full-width graph: the kernels carry multi-word
 bitmap columns (:mod:`repro.core.widebitmap`), so wide fragments no longer
 detour through :meth:`QueryInfo.extract` (that renumbering route survives
-only as the numpy-less fallback; see
+only as a legacy route taken on request; see
 :func:`repro.heuristics.common.optimize_fragment`).
 """
 
@@ -150,21 +150,10 @@ class IDP1(HeuristicBackendMixin, JoinOrderOptimizer):
         """
         graph = query.graph
         context = EnumerationContext.of(graph)
-        edges = graph.edges
-        if self._use_heuristic_kernels(len(edges)):
-            # Batched min-edge scan: one gather of every edge's pair
-            # estimate, first-minimum argmin == min()'s first-win rule.
-            import numpy as np
-
-            from ..exec import pair_rows
-
-            weights = pair_rows(query, [(e.left, e.right) for e in edges])
-            best_edge = edges[int(np.argmin(weights))]
-        else:
-            best_edge = min(
-                edges,
-                key=lambda e: query.rows(bms.bit(e.left) | bms.bit(e.right)),
-            )
+        best_edge = min(
+            graph.edges,
+            key=lambda e: query.rows(bms.bit(e.left) | bms.bit(e.right)),
+        )
         fragment = bms.bit(best_edge.left) | bms.bit(best_edge.right)
         while bms.popcount(fragment) < self.k:
             neighbours = context.neighbours_of_set(fragment)
@@ -200,8 +189,7 @@ class IDP2(HeuristicBackendMixin, JoinOrderOptimizer):
         #: The shared inner exact optimizer (one instance for every fragment
         #: of every iteration — never re-created per ``exact_factory()``).
         self.exact_optimizer = resolve_exact(exact_factory, backend, workers)
-        self.initial_heuristic = initial_heuristic or GOO(backend=backend,
-                                                          workers=workers)
+        self.initial_heuristic = initial_heuristic or GOO()
         self.max_iterations = max_iterations
         self.name = f"IDP2-{self.exact_optimizer.name} ({k})"
 

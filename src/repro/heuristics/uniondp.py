@@ -31,7 +31,8 @@ with different ``within=`` scopes — at any width, since the kernels carry
 multi-word bitmap columns (:mod:`repro.core.widebitmap`) — so they share
 the graph's :class:`~repro.core.enumeration.EnumerationContext` (see
 PERFORMANCE.md).  Extraction into compact sub-queries survives only as the
-numpy-less fallback inside :func:`~repro.heuristics.common.optimize_fragment`.
+legacy route :func:`~repro.heuristics.common.optimize_fragment` takes on
+request.
 """
 
 from __future__ import annotations
@@ -113,24 +114,13 @@ class UnionDP(HeuristicBackendMixin, JoinOrderOptimizer):
         """Partition phase of Algorithm 4: greedy unions bounded by ``k``."""
         graph = query.graph
         uf = UnionFind(graph.n_relations)
-        batched = self._use_heuristic_kernels(graph.n_edges)
         # Pre-compute edge weights once (cost of joining across the edge).
         weighted_edges: List[Tuple[float, int, int]] = []
-        if batched:
-            from ..exec import pair_rows
+        for edge in graph.edges:
+            weight = query.rows(bms.bit(edge.left) | bms.bit(edge.right))
+            weighted_edges.append((weight, edge.left, edge.right))
 
-            estimates = pair_rows(
-                query, [(edge.left, edge.right) for edge in graph.edges])
-            weighted_edges = [
-                (float(weight), edge.left, edge.right)
-                for weight, edge in zip(estimates, graph.edges)
-            ]
-        else:
-            for edge in graph.edges:
-                weight = query.rows(bms.bit(edge.left) | bms.bit(edge.right))
-                weighted_edges.append((weight, edge.left, edge.right))
-
-        if batched:
+        if self._use_heuristic_kernels(graph.n_edges):
             # Batched greedy min-edge scan (bit-identical to the loop below).
             from ..exec import greedy_union_partition
 

@@ -125,6 +125,9 @@ class TestCardinalityEstimator:
             CardinalityEstimator(graph, [10.0])
         with pytest.raises(ValueError):
             CardinalityEstimator(graph, [10.0, -1.0])
+        for rows in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                CardinalityEstimator(graph, [10.0, rows])
 
     def test_memoisation_and_invalidate(self):
         graph, estimator = self.chain_query()

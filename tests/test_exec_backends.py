@@ -266,13 +266,13 @@ class TestBackendResolution:
         # The exact kernel-pipeline optimizers AND the kernelized heuristic
         # ladder all advertise the backend knob.
         for name in ("MPDP", "MPDP:Tree", "DPsub", "DPsize", "PDP",
-                     "GOO", "IDP1", "IDP2", "UnionDP", "LinDP", "LinearizedDP"):
+                     "IDP1", "IDP2", "UnionDP", "LinDP", "LinearizedDP"):
             capabilities = DEFAULT_REGISTRY.capabilities(name)
             assert capabilities.supports_backend("vectorized"), name
             assert capabilities.supports_backend("scalar")
             assert capabilities.supports_backend("auto")
         # Heuristics with no kernelized loops stay scalar-only.
-        for name in ("IKKBZ", "GE-QO"):
+        for name in ("GOO", "IKKBZ", "GE-QO"):
             capabilities = DEFAULT_REGISTRY.capabilities(name)
             assert not capabilities.supports_backend("vectorized"), name
             assert capabilities.supports_backend("scalar")
@@ -476,21 +476,28 @@ class TestBatchedCostContract:
         assert list(batched) == [3.0 + 7.0 + 9.0, 4.0 + 8.0 + 10.0]
 
     def test_rows_batch_deduplicates_and_matches_scalar(self):
-        query = star_query(7, seed=0)
-        estimator = query.cardinality
         masks = [0b11, 0b101, 0b11, 0b1110, 0b101]
-        batched = estimator.rows_batch(masks)
-        assert list(batched) == [estimator.rows(mask) for mask in masks]
+        batched = star_query(7, seed=0).rows_batch(masks)
+        # A fresh reference query: nothing the batch memoised can reach it.
+        reference = star_query(7, seed=0)
+        assert [float(rows).hex() for rows in batched] == \
+            [reference.rows(mask).hex() for mask in masks]
 
     def test_rows_batch_on_contracted_query(self):
-        query = clique_query(6, seed=0)
-        partitions = [bms.from_indices([0, 1]), bms.from_indices([2, 3]),
-                      bms.from_indices([4, 5])]
-        plans = [MPDP().optimize(query, subset=p).plan for p in partitions]
-        contracted = query.contract(partitions, plans)
-        masks = [0b11, 0b111, 0b11]
-        assert list(contracted.rows_batch(masks)) == \
-            [contracted.rows(mask) for mask in masks]
+        def contracted_clique():
+            query = clique_query(6, seed=0)
+            partitions = [bms.from_indices([0, 1]), bms.from_indices([2, 3]),
+                          bms.from_indices([4, 5])]
+            plans = [MPDP().optimize(query, subset=p).plan for p in partitions]
+            return query.contract(partitions, plans)
+
+        # Composite pairs and beyond sit on the min_rows floor; the
+        # composites alone (each holding an internal edge) do not.
+        masks = [0b11, 0b1, 0b111, 0b100, 0b11, 0b10]
+        batched = contracted_clique().rows_batch(masks)
+        reference = contracted_clique()
+        assert [float(rows).hex() for rows in batched] == \
+            [reference.rows(mask).hex() for mask in masks]
 
 
 class TestBlockOrderCoupling:

@@ -116,12 +116,19 @@ class TestCLIErrorPaths:
                      "--catalog", str(bad_catalog)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_catalog_spec_type_errors(self, capsys, tmp_path):
+    @pytest.mark.parametrize("rows,message", [
+        ("many", "non-numeric"),
+        (float("nan"), "positive, finite"),
+        ("nan", "positive, finite"),
+        (float("inf"), "positive, finite"),
+    ])
+    def test_catalog_spec_type_errors(self, capsys, tmp_path, rows, message):
         bad_catalog = tmp_path / "catalog.json"
-        bad_catalog.write_text(json.dumps({"tables": {"a": {"rows": "many"}}}))
+        # json writes the floats as NaN / Infinity, which json.load accepts.
+        bad_catalog.write_text(json.dumps({"tables": {"a": {"rows": rows}}}))
         assert main(["select * from a, b where a.x = b.x",
                      "--catalog", str(bad_catalog)]) == 1
-        assert "non-numeric" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_backend_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as excinfo:

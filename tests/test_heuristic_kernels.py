@@ -6,11 +6,12 @@ with targeted unit coverage:
 
 * ``QueryInfo.extract`` — bit-identity with subset-scoped optimization
   (same plans, costs, counters), leaf-plan sharing, root-chain routing;
-* the batched heuristic kernels — ``lindp_merge``'s interval DP,
-  ``greedy_union_partition``'s union rounds and ``pair_rows`` against
-  their scalar reference loops;
-* the vectorized log-space cardinality fold (``rows_batch`` on contracted
-  queries) — exact equality with the scalar estimator walk;
+* the batched heuristic kernels — ``lindp_merge``'s interval DP and
+  ``greedy_union_partition``'s union rounds against their scalar
+  reference loops;
+* the batched log-space cardinality fold (``QueryInfo.rows_batch`` on
+  root, contracted, remapped and two-word layouts) — exact equality with
+  the scalar estimator walk — and its accumulate kernel's addition order;
 * driver plumbing — one shared inner exact optimizer per driver (never one
   per fragment), bounded ``EnumerationContext.of`` traffic, backend knob
   validation;
@@ -19,15 +20,21 @@ with targeted unit coverage:
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import bitmapset as bms
+from repro.core import widebitmap as wb
 from repro.core.enumeration import EnumerationContext
+from repro.core.joingraph import JoinGraph
+from repro.core.query import QueryInfo
 from repro.core.unionfind import UnionFind
+from repro.cost.cardinality import CardinalityEstimator
 from repro.cost.cout import CoutCostModel
-from repro.exec import greedy_union_partition, lindp_merge, pair_rows
+from repro.exec import greedy_union_partition, lindp_merge
 from repro.heuristics import GOO, IDP1, IDP2, AdaptiveLinDP, LinearizedDP, UnionDP
 from repro.heuristics.common import optimize_fragment
 from repro.heuristics.ikkbz import IKKBZ
@@ -219,48 +226,189 @@ class TestGreedyUnionPartitionKernel:
         assert uf.n_sets == 3
 
 
-class TestPairRowsKernel:
-    def test_matches_scalar_pair_estimates(self):
-        query = scaled_musicbrainz_query(150, seed=7)
-        pairs = [(e.left, e.right) for e in query.graph.edges]
-        batched = pair_rows(query, pairs)
-        for estimate, (a, b) in zip(batched, pairs):
-            assert float(estimate) == query.rows(bms.bit(a) | bms.bit(b))
+def _random_masks(n, count, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(1, 1 << n) for _ in range(count)]
+
+
+def _random_subsets(scope, count, seed):
+    rng = random.Random(seed)
+    members = list(bms.iter_bits(scope))
+    return [bms.from_indices(rng.sample(members, rng.randint(1, len(members))))
+            for _ in range(count)]
+
+
+def _contract(query, fragment):
+    """``query`` with ``fragment`` merged into one composite vertex."""
+    rest = query.all_relations_mask & ~fragment
+    partitions = [fragment] + [bms.bit(v) for v in bms.iter_bits(rest)]
+    plans = [MPDP().optimize(query, subset=fragment).plan] + [
+        query.leaf_plan(v) for v in bms.iter_bits(rest)]
+    return query.contract(partitions, plans)
+
+
+def _contract_grown(query, size):
+    return _contract(query, connected_fragment(query, size))
+
+
+def _cycle_query(n, rows, selectivity, min_rows=1.0):
+    """An n-cycle with every base cardinality ``rows`` and every edge
+    selectivity ``selectivity``."""
+    graph = JoinGraph(n)
+    for i in range(n):
+        graph.add_edge(i, (i + 1) % n, selectivity=selectivity)
+    return QueryInfo(graph, cardinality=CardinalityEstimator(
+        graph, [rows] * n, min_rows=min_rows))
+
+
+def _extracted(make_query):
+    query = make_query()
+    size = min(10, query.n_relations - 1)
+    sub = query.extract(connected_fragment(query, size))
+    return sub, _random_masks(sub.n_relations, 200, seed=11), None
+
+
+def _contracted_remap():
+    # 75 local vertices (two words); the remap spec scopes a run to 12 of
+    # them, the composite included.
+    contracted = _contract_grown(
+        random_connected_query(80, extra_edge_probability=0.04, seed=10), 6)
+    scope = connected_fragment(contracted, 12)
+    return (contracted, _random_subsets(scope, 150, seed=14),
+            wb.view_for(scope, contracted.n_relations))
+
+
+def _root_remap():
+    query = random_connected_query(90, extra_edge_probability=0.03, seed=8)
+    scope = connected_fragment(query, 12, start=40)
+    return (query, _random_subsets(scope, 150, seed=15),
+            wb.view_for(scope, query.n_relations))
+
+
+#: Each case builds ``(query, masks, spec)``; ``spec`` None hands the batch
+#: over as Python ints, anything else as a column packed with that spec.
+FOLD_CASES = {
+    "extracted-random-70": lambda: _extracted(
+        lambda: random_connected_query(70, extra_edge_probability=0.05, seed=3)),
+    "extracted-musicbrainz-100": lambda: _extracted(
+        lambda: scaled_musicbrainz_query(100, seed=4)),
+    "extracted-clique-10": lambda: _extracted(lambda: clique_query(10, seed=5)),
+    "contracted-snowflake-20": lambda: (
+        _contract_grown(snowflake_query(20, seed=6), 5),
+        _random_masks(16, 100, seed=12), None),
+    # Composite {0, 1, 2} holds the edges 0-1 and 1-2 on one local bit.
+    "composite-internal-edges": lambda: (
+        _contract(chain_query(12, seed=2), bms.from_indices([0, 1, 2])),
+        _random_masks(10, 100, seed=13), None),
+    "contracted-remap-two-word": _contracted_remap,
+    "root-identity": lambda: (
+        random_connected_query(14, extra_edge_probability=0.3, seed=7),
+        _random_masks(14, 300, seed=16), 1),
+    "root-remap": _root_remap,
+    "root-two-word": lambda: (
+        random_connected_query(75, extra_edge_probability=0.04, seed=9),
+        _random_masks(75, 200, seed=17), 2),
+    # Four relations of 1e90 rows already pass the 1e300 cap.
+    "max-rows-cap": lambda: (_cycle_query(8, 1e90, 1.0),
+                             _random_masks(8, 100, seed=18), 1),
+    "min-rows-floor": lambda: (_cycle_query(8, 2.0, 1e-6, min_rows=5.0),
+                               _random_masks(8, 100, seed=19), None),
+}
 
 
 class TestCardinalityFold:
-    """rows_batch's vectorized log-space fold == the scalar estimator walk."""
+    """``QueryInfo.rows_batch`` == the scalar estimator walk, bit for bit."""
 
-    def _random_masks(self, n, count, seed):
-        rng = random.Random(seed)
-        return [rng.randrange(1, 1 << n) for _ in range(count)]
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_fold_equals_scalar_rows_of_a_fresh_query(self, case):
+        query, masks, spec = FOLD_CASES[case]()
+        if spec is None:
+            batched = query.rows_batch(masks)
+        else:
+            batched = query.rows_batch(wb.pack(masks, spec), spec=spec)
+        # The reference is a fresh query, so nothing the batch computed or
+        # memoised can reach it.
+        reference, _, _ = FOLD_CASES[case]()
+        assert [float(estimate).hex() for estimate in batched] == \
+            [reference.rows(mask).hex() for mask in masks]
 
-    @pytest.mark.parametrize("make_query", [
-        lambda: random_connected_query(70, extra_edge_probability=0.05, seed=3),
-        lambda: scaled_musicbrainz_query(100, seed=4),
-        lambda: clique_query(10, seed=5),
-    ])
-    def test_fold_equals_scalar_rows_on_extracted_fragments(self, make_query):
-        query = make_query()
-        size = min(10, query.n_relations - 1)
-        sub = query.extract(connected_fragment(query, size))
-        masks = self._random_masks(sub.n_relations, 200, seed=11)
-        batched = sub.rows_batch(masks)
-        for estimate, mask in zip(batched, masks):
-            assert float(estimate) == sub.rows(mask), bin(mask)
+    def test_cases_reach_the_cap_and_the_floor(self):
+        query, masks, _ = FOLD_CASES["max-rows-cap"]()
+        estimates = set(query.rows_batch(masks).tolist())
+        assert CardinalityEstimator.MAX_ROWS in estimates and len(estimates) > 1
+        query, masks, _ = FOLD_CASES["min-rows-floor"]()
+        assert 5.0 in query.rows_batch(masks).tolist()
 
-    def test_fold_on_contracted_query_with_composites(self):
-        query = snowflake_query(20, seed=6)
-        partitions = [connected_fragment(query, 5)]
-        rest = query.all_relations_mask & ~partitions[0]
-        partitions += [bms.bit(v) for v in bms.iter_bits(rest)]
-        plans = [MPDP().optimize(query, subset=partitions[0]).plan] + [
-            query.leaf_plan(v) for v in bms.iter_bits(rest)]
-        contracted = query.contract(partitions, plans)
-        masks = self._random_masks(contracted.n_relations, 100, seed=12)
-        batched = contracted.rows_batch(masks)
-        for estimate, mask in zip(batched, masks):
-            assert float(estimate) == contracted.rows(mask)
+
+class TestFoldRowsKernel:
+    """``fold_rows`` adds each row's selected terms left to right."""
+
+    @staticmethod
+    def _estimator():
+        graph = JoinGraph(2)
+        graph.add_edge(0, 1)
+        # A floor far below every sum keeps any log-space difference
+        # visible in the estimate.
+        return CardinalityEstimator(graph, [1.0, 1.0], min_rows=1e-300)
+
+    @staticmethod
+    def _left_fold(estimator, values, selected):
+        estimates = []
+        for row in selected.tolist():
+            log_estimate = 0.0
+            for value, chosen in zip(values.tolist(), row):
+                if chosen:
+                    log_estimate += value
+            estimates.append(estimator.from_log10(log_estimate).hex())
+        return estimates
+
+    @staticmethod
+    def _fold(estimator, values, selected):
+        return [float(estimate).hex() for estimate in estimator.fold_rows(
+            values, lambda start, stop: selected[start:stop], len(selected))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_python_left_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        estimator = self._estimator()
+        values = rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 80)))
+        selected = rng.random((300, len(values))) < rng.uniform(0.1, 0.9)
+        assert self._fold(estimator, values, selected) == \
+            self._left_fold(estimator, values, selected)
+
+    def test_rows_spanning_several_chunks(self):
+        rng = np.random.default_rng(6)
+        estimator = self._estimator()
+        values = rng.uniform(-1.0, 1.0, size=1 << 14)
+        selected = rng.random((150, len(values))) < 0.05
+        assert self._fold(estimator, values, selected) == \
+            self._left_fold(estimator, values, selected)
+
+    def test_pairwise_and_compensated_sums_differ_on_this_batch(self):
+        """np.sum / np.add.reduce (pairwise), math.fsum and, from Python
+        3.12, builtin sum (compensated) all round this batch differently,
+        so swapping any of them into the kernel fails the left-fold test."""
+        rng = np.random.default_rng(7)
+        estimator = self._estimator()
+        values = rng.uniform(-3.0, 3.0, size=64)
+        selected = rng.random((100, len(values))) < 0.7
+        expected = self._left_fold(estimator, values, selected)
+        assert self._fold(estimator, values, selected) == expected
+        terms = np.where(selected, values, 0.0)
+        for sums in (np.sum(terms, axis=1), np.add.reduce(terms, axis=1),
+                     [math.fsum(row) for row in terms.tolist()]):
+            assert [estimator.from_log10(float(log_estimate)).hex()
+                    for log_estimate in sums] != expected
+
+    def test_empty_batch_and_unselected_terms(self):
+        estimator = self._estimator()
+        values = np.array([0.5, -0.25, 2.0])
+        for terms in (values, values[:0]):
+            assert len(self._fold(
+                estimator, terms, np.zeros((0, len(terms)), dtype=bool))) == 0
+            # No selected term: the empty sum, 10 ** 0.0.
+            assert self._fold(estimator, terms, np.zeros(
+                (4, len(terms)), dtype=bool)) == [(1.0).hex()] * 4
 
 
 # --------------------------------------------------------------------- #
@@ -324,7 +472,6 @@ class TestSharedInnerOptimizer:
         driver = IDP2(k=5, backend="multicore", workers=3)
         assert driver.exact_optimizer.backend == "multicore"
         assert driver.exact_optimizer.workers == 3
-        assert driver.initial_heuristic.backend == "multicore"
 
     def test_adaptive_lindp_reuses_rung_instances(self):
         driver = AdaptiveLinDP(backend="vectorized")
@@ -333,7 +480,7 @@ class TestSharedInnerOptimizer:
         driver.optimize(chain_query(40, seed=3))
         assert driver._linearized_inner is first_linearized
 
-    @pytest.mark.parametrize("cls", [GOO, IDP1, IDP2, UnionDP, LinearizedDP,
+    @pytest.mark.parametrize("cls", [IDP1, IDP2, UnionDP, LinearizedDP,
                                      AdaptiveLinDP])
     def test_backend_validation(self, cls):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ output, exit codes — and the meta-test that the real ``src/`` tree lints
 clean with every rule enabled.
 """
 
+import ast
 import dataclasses
 import json
 import subprocess
@@ -24,6 +25,7 @@ from repro.analysis.lint import (
     main,
 )
 from repro.analysis.lint.checkers.capabilities import check_registry
+from repro.analysis.lint.checkers.estimator import FOLD_PRIMITIVES
 from repro.planner.registry import DEFAULT_REGISTRY, OptimizerRegistry
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -220,24 +222,27 @@ def make_workload(seed):
 # estimator-guard
 # --------------------------------------------------------------------------- #
 ESTIMATOR_BAD = """
-class Estimator:
-    def rows_batch(self, rows, spec):
-        return self._rows_fold(rows, spec)
+class Query:
+    def rows_batch(self, rows, select):
+        values = self.estimator.fold_schedule(self.layout)
+        return self.estimator.fold_rows(values, select, len(rows))
 """
 
 ESTIMATOR_GOOD = """
-class Estimator:
-    def rows_batch(self, rows, spec):
-        if not estimator_overrides_rows(self):
-            return self._rows_fold(rows, spec)
+class Query:
+    def rows_batch(self, rows, select):
+        if not estimator_overrides_rows(self.estimator):
+            values = self.estimator.fold_schedule(self.layout)
+            return self.estimator.fold_rows(values, select, len(rows))
         return [self.rows(mask) for mask in rows]
 """
 
 
 def test_estimator_guard_catches_unguarded_fold(tmp_path):
     findings = lint_source(tmp_path, ESTIMATOR_BAD)
-    assert rules_of(findings) == ["estimator-guard"]
-    assert "_rows_fold" in findings[0].message
+    assert rules_of(findings) == ["estimator-guard", "estimator-guard"]
+    assert "fold_schedule" in findings[0].message
+    assert "fold_rows" in findings[1].message
 
 
 def test_estimator_guard_passes_guarded_twin(tmp_path):
@@ -249,9 +254,8 @@ def test_estimator_guard_primitives_are_exempt(tmp_path):
     # other freely.
     source = """
 class Estimator:
-    def _rows_fold(self, rows, spec):
-        values, selectors = self._fold_steps_for_spec(spec)
-        return values
+    def fold_rows(self, values, select, count):
+        return self.fold_schedule(values)
 """
     assert lint_source(tmp_path, source) == []
 
@@ -319,7 +323,7 @@ def build(backend="scalar", workers=None):
 def test_knob_threading_catches_backend_only_constructor_call(tmp_path):
     source = """
 def make():
-    return GOO(backend="scalar")
+    return IDP2(backend="scalar")
 """
     findings = lint_source(tmp_path, source)
     assert rules_of(findings) == ["knob-threading"]
@@ -329,7 +333,7 @@ def make():
 def test_knob_threading_passes_forwarding_twin(tmp_path):
     source = """
 def build(backend="scalar", workers=None):
-    return GOO(backend=backend, workers=workers)
+    return IDP2(backend=backend, workers=workers)
 """
     assert lint_source(tmp_path, source) == []
 
@@ -533,8 +537,18 @@ def test_real_tree_has_live_contract_annotations():
     vectorized = (REPO_ROOT / "src/repro/exec/vectorized.py").read_text()
     assert "@kernel" in vectorized
     assert "# loop: " in vectorized
-    kernels = (REPO_ROOT / "src/repro/exec/heuristic_kernels.py").read_text()
-    assert "# repro-lint: estimator-fold" in kernels
+    # Every fold primitive the estimator-guard rule names must be defined
+    # and called in src/, so a rename cannot silently empty the rule.
+    defined, called = set(), set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Call):
+                called.add(getattr(node.func, "attr",
+                                   getattr(node.func, "id", None)))
+    assert FOLD_PRIMITIVES <= defined
+    assert FOLD_PRIMITIVES <= called
 
 
 def test_mypy_passes_when_available():

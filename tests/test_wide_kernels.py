@@ -152,16 +152,16 @@ def test_remap_pack_roundtrip(n_bits):
         assert wb.unpack(column) == [wb.compact(m, spec) for m in masks]
 
 
-def test_pack_one_unpack_one_roundtrip():
+def test_unpack_one_roundtrip():
     for n_bits in (30, 65, 129):
         mask = random_masks(n_bits, 1, seed=n_bits)[0]
         words = wb.words_for(n_bits)
-        row = wb.pack_one(mask, words)
+        row = wb.pack([mask], words)[0]
         assert row.shape == (words,)
         assert wb.unpack_one(row) == mask
     spec = tuple(range(70, 100))
     mask = sum(1 << p for p in range(70, 100, 3))
-    row = wb.pack_one(mask, spec)
+    row = wb.pack([mask], spec)[0]
     assert wb.unpack_one(row, spec) == mask
 
 
@@ -174,18 +174,22 @@ def test_pack_empty_batch():
 
 
 # --------------------------------------------------------------------- #
-# gather_bits
+# contains
 # --------------------------------------------------------------------- #
-def test_gather_bits_matches_per_bit_reference():
-    n_bits = 190
-    masks = random_masks(n_bits, 60, seed=21)
-    column = wb.pack(masks, wb.words_for(n_bits))
-    for seed in range(3):
-        positions = random_spec(n_bits, 70, seed=seed + 31)
-        gathered = wb.gather_bits(column, positions)
-        assert gathered.shape == (len(masks), wb.words_for(len(positions)))
-        expected = [wb.compact(mask, positions) for mask in masks]
-        assert wb.unpack(gathered) == expected
+@pytest.mark.parametrize("n_bits", (40, 64, 65, 190))
+def test_contains_matches_per_pair_reference(n_bits):
+    rows = random_masks(n_bits, 60, seed=21)
+    rng = random.Random(n_bits)
+    # Sparse masks (one or two bits, like fold terms) plus random ones.
+    masks = [(1 << rng.randrange(n_bits)) | (1 << rng.randrange(n_bits))
+             for _ in range(40)] + random_masks(n_bits, 5, seed=22) + [0]
+    for row in rows[:10]:
+        masks.append(row & random_masks(n_bits, 1, seed=row % 997)[0])
+    words = wb.words_for(n_bits)
+    held = wb.contains(wb.pack(rows, words), wb.pack(masks, words))
+    assert held.shape == (len(rows), len(masks))
+    assert held.tolist() == [[mask & row == mask for mask in masks]
+                             for row in rows]
 
 
 # --------------------------------------------------------------------- #
