@@ -24,12 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.heuristics import IDP2
+from repro.heuristics import IDP1, IDP2, UnionDP
 from repro.optimizers import MPDP
 from repro.workloads import (
     chain_query,
     clique_query,
     musicbrainz_query,
+    scaled_musicbrainz_query,
     snowflake_query,
     star_query,
 )
@@ -52,13 +53,24 @@ WORKLOAD_FACTORIES = {
     "wide_chain_n65_seed1": lambda: chain_query(65, seed=1),
     "wide_chain_n100_seed1": lambda: chain_query(100, seed=1),
     "wide_snowflake_n100_seed1": lambda: snowflake_query(100, seed=1),
+    # The other two fragment drivers: UnionDP's partition-and-recurse and
+    # IDP1's materialise-and-repeat each build their inner MPDP and hand
+    # it fragments their own way.
+    "uniondp_snowflake_n100_seed1": lambda: snowflake_query(100, seed=1),
+    "uniondp_musicbrainz_n50_seed1":
+        lambda: scaled_musicbrainz_query(50, seed=1),
+    "idp1_musicbrainz_n40_seed1": lambda: scaled_musicbrainz_query(40, seed=1),
 }
 
 #: Per-workload optimizer override (default: exact MPDP on the scalar
 #: reference backend).  The wide snowflake would be intractable for exact
-#: DP, so it pins the scalar IDP2 ladder instead.
+#: DP, so it pins the scalar IDP2 ladder instead; the ``uniondp_`` and
+#: ``idp1_`` workloads pin those drivers.
 DRIVER_FACTORIES = {
     "wide_snowflake_n100_seed1": lambda: IDP2(k=8, backend="scalar"),
+    "uniondp_snowflake_n100_seed1": lambda: UnionDP(k=8, backend="scalar"),
+    "uniondp_musicbrainz_n50_seed1": lambda: UnionDP(k=8, backend="scalar"),
+    "idp1_musicbrainz_n40_seed1": lambda: IDP1(k=6, backend="scalar"),
 }
 
 
