@@ -45,7 +45,7 @@ from pathlib import Path
 
 from repro.cost.cout import CoutCostModel
 from repro.exec.backend import _available_cpus
-from repro.exec.multicore import _pool_for, _start_method
+from repro.exec.multicore import POOL_REGISTRY, _start_method
 from repro.gpu.pipeline import GPUPipelineModel
 from repro.optimizers import DPSub, MPDP
 from repro.parallel import (
@@ -116,7 +116,7 @@ def run_config(topology: str, algorithm: str, n: int, repeats: int) -> dict:
         baseline_times.append(elapsed)
         reference = result
         for workers in WORKER_COUNTS:
-            _pool_for(workers)  # pool startup is amortised, not measured
+            POOL_REGISTRY.lease(workers)  # startup amortised, not measured
             elapsed, mc_result = _time_once(topology, algorithm, n,
                                             "multicore", workers)
             multicore_times[workers].append(elapsed)

@@ -17,11 +17,6 @@ end-to-end on the kernel execution layer:
 * **kernelized vs scalar-factory** — the acceptance measurement: IDP2 with
   the kernel backend vs IDP2 on the seed-era scalar path at n = 200 must be
   >= 3x (single CPU, vectorized backend);
-* **native vs extract dispatch** — the multi-word-kernel routing
-  comparison: IDP2 with fragments dispatched natively (subset-scoped,
-  bit-remapped kernel columns) vs the legacy extract-and-renumber
-  sub-query route, interleaved CPU-time rounds with plan bit-identity
-  asserted between the two routes;
 * **backend bit-identity** — every benchmarked workload is planned by every
   driver on scalar / vectorized / multicore and the plans must match
   bit-for-bit before any timing is reported, at n = 50 and — because the
@@ -74,17 +69,6 @@ QUICK_SIZES = (50, 100, 200)
 
 #: Acceptance bar for the kernelized-vs-scalar IDP2 comparison at n = 200.
 SPEEDUP_ACCEPTANCE = 3.0
-
-#: The native dispatch must not lose to extract-and-renumber.  The two
-#: routes run the identical inner DP per fragment (plans are asserted
-#: bit-identical), so what the comparison resolves is pure routing
-#: overhead: extraction-and-renumbering on one side vs bit-remap packing
-#: on the other — a few percent of a fragment's DP cost either way.  The
-#: tolerance absorbs scheduler noise on that margin; the recorded ratio
-#: shows the actual measurement.
-DISPATCH_TOLERANCE = 1.05
-#: Interleaved measurement rounds per dispatch (best-of, CPU time).
-DISPATCH_ROUNDS = 3
 
 #: Wide bit-identity coverage: just past the single-lane boundary every
 #: mask needs two uint64 words, which exercises the multi-word kernel
@@ -209,66 +193,6 @@ def backend_identity_section(verbose: bool) -> List[dict]:
     return rows
 
 
-def dispatch_section(quick: bool, verbose: bool) -> List[dict]:
-    """Native multi-word fragment dispatch vs legacy extract-and-renumber.
-
-    Flips :data:`repro.heuristics.common.FRAGMENT_DISPATCH` between the
-    two routes on the same IDP2 configuration.  Rounds are interleaved
-    (native/extract/native/extract ...) and timed on CPU time so a noisy
-    neighbour inflates both routes equally, and the best round per route
-    is compared — the stable way to resolve a margin that is a small
-    fraction of the total on a shared box.  Plans must be bit-identical
-    between the routes before any timing is reported.
-    """
-    from repro.heuristics import common as hc
-
-    configs = [("snowflake", 200)]
-    if not quick:
-        configs.append(("snowflake", 500))
-    rows = []
-    saved = hc.FRAGMENT_DISPATCH
-    try:
-        for workload, n in configs:
-            rounds = DISPATCH_ROUNDS if n <= 200 else 2
-            times: Dict[str, List[float]] = {"native": [], "extract": []}
-            plans = {}
-            for _ in range(rounds):
-                for dispatch in ("native", "extract"):
-                    hc.FRAGMENT_DISPATCH = dispatch
-                    query = WORKLOADS[workload](n)
-                    driver = make_driver("IDP2", workload, n, "vectorized")
-                    start = time.process_time()
-                    result = driver.optimize(query)
-                    times[dispatch].append(time.process_time() - start)
-                    plans[dispatch] = (result.cost, result.plan)
-            if plans["native"] != plans["extract"]:
-                raise AssertionError(
-                    f"{workload} n={n}: native-dispatch IDP2 plan differs "
-                    "from the extract-and-renumber route — bit-identity "
-                    "contract broken")
-            native_s = min(times["native"])
-            extract_s = min(times["extract"])
-            row = {
-                "workload": workload, "n": n,
-                "k": fragment_k(workload, n),
-                "rounds": rounds,
-                "native_seconds": native_s,
-                "extract_seconds": extract_s,
-                "extract_over_native": extract_s / native_s,
-                "native_beats_extract": native_s <= extract_s,
-                "plans_bit_identical": True,
-                "tolerance": DISPATCH_TOLERANCE,
-            }
-            rows.append(row)
-            if verbose:
-                print(f"dispatch {workload:>12s} n={n} k={row['k']}: "
-                      f"native {native_s:.2f}s vs extract {extract_s:.2f}s "
-                      f"= {row['extract_over_native']:.3f}x")
-    finally:
-        hc.FRAGMENT_DISPATCH = saved
-    return rows
-
-
 def ladder_section(sizes, verbose: bool, quick: bool = False) -> List[dict]:
     """The Table 1/2 sweep: cost + wall clock per (workload, n, driver)."""
     rows = []
@@ -342,8 +266,7 @@ def run_sweep(quick: bool = False, verbose: bool = True) -> dict:
                        "on chain/star/snowflake/clique/scaled-MusicBrainz "
                        "workloads; C_out costs; bit-identity asserted "
                        "across scalar/vectorized/multicore (n=50 and the "
-                       "two-word n=65) and across native/extract fragment "
-                       "dispatch before timing",
+                       "two-word n=65) before timing",
         "cost_model": "cout",
         "quick": quick,
         "sizes": list(sizes),
@@ -352,7 +275,6 @@ def run_sweep(quick: bool = False, verbose: bool = True) -> dict:
         "backend_identity": backend_identity_section(verbose),
         "ladder": ladder_section(sizes, verbose, quick),
         "idp2_kernelized_vs_scalar": speedup_section(quick, verbose),
-        "fragment_dispatch": dispatch_section(quick, verbose),
     }
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     if verbose:
@@ -372,11 +294,6 @@ def enforce_acceptance(report: dict) -> None:
     # Acceptance: kernelized IDP2 >= 3x over the scalar path at n = 200.
     for row in report["idp2_kernelized_vs_scalar"]:
         assert row["speedup"] >= SPEEDUP_ACCEPTANCE, row
-    # Native dispatch must match extract bit-for-bit and not lose on time.
-    for row in report["fragment_dispatch"]:
-        assert row["plans_bit_identical"], row
-        assert row["native_seconds"] <= (row["extract_seconds"]
-                                         * DISPATCH_TOLERANCE), row
 
 
 # ------------------------------------------------------------------ #
@@ -384,31 +301,19 @@ def enforce_acceptance(report: dict) -> None:
 # ------------------------------------------------------------------ #
 @pytest.mark.large_query
 def test_wide_perf_smoke():
-    """CI wide-graph guard: one 100-relation snowflake, three ways.
+    """CI wide-graph guard: one 100-relation snowflake, two ways.
 
     The smallest measurement that still covers the whole wide-kernel
     claim: native multi-word kernels must beat the scalar path by
-    >= 3x, and both the scalar path and the extract-and-renumber dispatch
-    must produce the bit-identical plan (38 fragments of two-word masks
-    route through the remap packing on every level).
+    >= 3x and produce its bit-identical plan (38 fragments of two-word
+    masks route through the remap packing on every level).
     """
-    from repro.heuristics import common as hc
-
     scalar_s, scalar_result = _run_once("IDP2", "snowflake", 100, "scalar")
     native_s, native_result = _run_once("IDP2", "snowflake", 100,
                                         "vectorized")
     assert native_result.cost == scalar_result.cost, \
         "native wide kernels diverged from the scalar reference"
     assert native_result.plan == scalar_result.plan
-    saved = hc.FRAGMENT_DISPATCH
-    try:
-        hc.FRAGMENT_DISPATCH = "extract"
-        _, extract_result = _run_once("IDP2", "snowflake", 100, "vectorized")
-    finally:
-        hc.FRAGMENT_DISPATCH = saved
-    assert extract_result.cost == native_result.cost, \
-        "extract dispatch diverged from native dispatch"
-    assert extract_result.plan == native_result.plan
     speedup = scalar_s / native_s
     assert speedup >= SPEEDUP_ACCEPTANCE, (
         f"native wide kernels only {speedup:.2f}x over scalar at n=100 "

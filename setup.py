@@ -25,7 +25,7 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     classifiers=[
         "Programming Language :: Python :: 3",
         "Programming Language :: Python :: 3.10",

@@ -37,9 +37,6 @@ from .framework import (
 )
 from .cli import main
 
-#: Back-compat style alias: the runner most tests call.
-run_lint = lint_paths
-
 __all__ = [
     "Checker",
     "Finding",
@@ -52,5 +49,4 @@ __all__ = [
     "lint_paths",
     "main",
     "register",
-    "run_lint",
 ]

@@ -27,14 +27,14 @@ incrementally (``S_i`` from ``S_{i-1}``, each exactly once per scope) instead
 of being re-derived from singletons at every call.  New code — in particular
 the DP inner loops — should hold an ``EnumerationContext`` directly and call
 its methods; these wrappers pay one context lookup per call.  The seed's
-from-scratch enumerator is preserved as
-:func:`iter_connected_subsets_of_size_baseline` so benchmarks and tests can
-measure and cross-check the engine against it (see ``PERFORMANCE.md``).
+from-scratch enumerator, which ``benchmarks/bench_enumeration_engine.py``
+measures the engine against, lives in that benchmark (see
+``PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional
 
 from . import bitmapset as bms
 from .enumeration import EnumerationContext
@@ -45,7 +45,6 @@ __all__ = [
     "is_connected",
     "connected_components",
     "iter_connected_subsets_of_size",
-    "iter_connected_subsets_of_size_baseline",
     "iter_connected_subsets_bruteforce",
     "count_ccp_pairs",
     "count_connected_subsets",
@@ -132,32 +131,6 @@ def iter_connected_subsets_of_size(graph: JoinGraph, size: int,
     whole graph only to discard almost all of them.
     """
     yield from EnumerationContext.of(graph).connected_subsets(size, within)
-
-
-def iter_connected_subsets_of_size_baseline(graph: JoinGraph, size: int,
-                                            within: Optional[int] = None) -> Iterator[int]:
-    """The seed's from-scratch ``S_size`` enumerator (kept for benchmarks).
-
-    Re-derives ``S_size`` by ``size - 1`` rounds of breadth-first expansion
-    from singletons on *every* call, deduplicating with a seen-set.  This is
-    the pre-engine behaviour that ``benchmarks/bench_enumeration_engine.py``
-    measures the incremental index against; it enumerates exactly the same
-    subsets in exactly the same (ascending-mask) order.
-    """
-    universe = graph.all_relations_mask if within is None else within
-    if size <= 0 or size > bms.popcount(universe):
-        return
-    current: Set[int] = {bms.bit(v) for v in bms.iter_bits(universe)}
-    if size == 1:
-        yield from sorted(current)
-        return
-    for _ in range(size - 1):
-        nxt: Set[int] = set()
-        for subset in current:
-            for neighbour in bms.iter_bits(graph.neighbours_of_set(subset) & universe):
-                nxt.add(subset | bms.bit(neighbour))
-        current = nxt
-    yield from sorted(current)
 
 
 def count_connected_subsets(graph: JoinGraph, size: int,

@@ -5,9 +5,10 @@ and over while it walks the search space:
 
 1. *"What are the connected subsets of size k?"* — the level sets ``S_k`` of
    Algorithm 1, line 5.  The naive answer (re-expanding from singletons at
-   every level, as :func:`repro.core.connectivity.iter_connected_subsets_of_size_baseline`
-   does) costs ``O(sum_k k * |S_k|)`` set churn per query because level ``k``
-   rebuilds levels ``1 .. k-1`` from scratch.
+   every level, as the seed enumerator in
+   ``benchmarks/bench_enumeration_engine.py`` does) costs
+   ``O(sum_k k * |S_k|)`` set churn per query because level ``k`` rebuilds
+   levels ``1 .. k-1`` from scratch.
 2. *"Is this set connected?" / "what are its neighbours?"* — the CCP validity
    checks of Section 2.1, which DPsub and MPDP run against the same small
    masks thousands of times per query.

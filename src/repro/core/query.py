@@ -21,7 +21,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import bitmapset as bms
+from . import widebitmap as wb
 from .joingraph import JoinGraph
 from .plan import Plan
 from ..cost.base import CostModel
@@ -67,7 +70,7 @@ class QueryInfo:
             raise ValueError("leaf_plans must have one entry per graph vertex")
         self._leaf_plans: List[Optional[Plan]] = list(leaf_plans)
         self._scan_cache: Dict[int, Plan] = {}
-        #: Contracted/extracted queries memoize estimates per *local* vertex
+        #: Contracted queries memoize estimates per *local* vertex
         #: mask: the root estimator already memoizes per root mask, but the
         #: local-to-root translation itself (``root_mask_of``) is O(vertices)
         #: and DP inner loops ask for the same local mask once per candidate
@@ -198,10 +201,6 @@ class QueryInfo:
         vertices are singletons), the estimates equal :meth:`rows` bit for
         bit at any width, and no mask is translated or unpacked.
         """
-        import numpy as np
-
-        from . import widebitmap as wb
-
         if not (isinstance(vertex_masks, np.ndarray) and vertex_masks.ndim == 2):
             spec = wb.words_for(self.graph.n_relations)
             vertex_masks = wb.pack([int(mask) for mask in vertex_masks], spec)
@@ -371,55 +370,6 @@ class QueryInfo:
             name=name or f"{self.name}/contracted",
             vertex_masks=new_vertex_masks,
             leaf_plans=list(partition_plans),
-            root=self.root,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Extraction (compact fragment sub-queries for the heuristic drivers)
-    # ------------------------------------------------------------------ #
-    def extract(self, subset: int, name: Optional[str] = None) -> "QueryInfo":
-        """Standalone sub-query over the subgraph induced by ``subset``.
-
-        The fragment's vertices are renumbered to ``0..k-1`` (ascending
-        original index) and its edges are the induced edges in original
-        graph order, so enumeration over the fragment is order-isomorphic to
-        ``optimize(self, subset=...)`` on this query.  Everything that feeds
-        cost arithmetic is *shared*, not copied:
-
-        * leaf plans are this query's leaf plans (same objects, so plan leaf
-          indices stay in the root vertex space),
-        * cardinalities route through the root estimator via the preserved
-          ``vertex_masks``/``root`` chain (sharing its per-mask memo),
-
-        which makes plans produced over the extracted fragment bit-identical
-        to plans produced by subset-scoped optimization on this query.
-
-        The large-query heuristics (IDP2, UnionDP) optimize their fragments
-        natively, subset-scoped (the kernel backends carry multi-word bitmap
-        columns, :mod:`repro.core.widebitmap`); extraction remains the
-        explicitly requestable legacy route
-        (:data:`repro.heuristics.common.FRAGMENT_DISPATCH`) that the
-        native-vs-extract benchmark compares against.
-        """
-        if subset == 0:
-            raise ValueError("cannot extract an empty set of relations")
-        if not bms.is_subset(subset, self.all_relations_mask):
-            raise ValueError("subset contains vertices outside the query")
-        vertices = list(bms.iter_bits(subset))
-        index_of = {vertex: index for index, vertex in enumerate(vertices)}
-        new_graph = JoinGraph(len(vertices),
-                              [self.graph.relation_names[v] for v in vertices])
-        for edge in self.graph.edges_within(subset):
-            new_graph.add_edge(index_of[edge.left], index_of[edge.right],
-                               edge.selectivity, edge.predicate, edge.is_pk_fk)
-        leaf_plans = [self.leaf_plan(vertex) for vertex in vertices]
-        return QueryInfo(
-            graph=new_graph,
-            base_cardinalities=[max(plan.rows, 1e-300) for plan in leaf_plans],
-            cost_model=self.cost_model,
-            name=name or f"{self.name}/fragment",
-            vertex_masks=[self.vertex_masks[v] for v in vertices],
-            leaf_plans=leaf_plans,
             root=self.root,
         )
 

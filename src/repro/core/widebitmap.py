@@ -28,18 +28,18 @@ lane-wise and vectorized:
 
 ``words_for`` is *the* width policy helper: every "does this graph fit the
 kernels?" decision routes through it (the answer is always "yes, with
-``words_for(n)`` lanes" when numpy is importable — there is no relation-count
-ceiling any more, only an array-width parameter).
+``words_for(n)`` lanes" — there is no relation-count ceiling any more, only
+an array-width parameter).
 
 Everything here is pure and allocation-transparent so the multicore workers
-can rebuild identical columns from shared-memory views.  numpy is imported
-lazily (module attribute, populated on first use) so that scalar-only
-environments can keep importing :mod:`repro.core` without numpy installed.
+can rebuild identical columns from shared-memory views.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
+
+import numpy as np
 
 from .contracts import kernel
 
@@ -49,7 +49,6 @@ __all__ = [
     "words_for",
     "view_for",
     "spec_words",
-    "spec_bits",
     "compact",
     "expand",
     "pack",
@@ -68,19 +67,6 @@ WORD_BITS = 64
 
 #: All-ones mask of a single word.
 WORD_MASK = (1 << WORD_BITS) - 1
-
-_np = None
-
-
-def _numpy():
-    """The numpy module (cached).  Kernel callers are already numpy-gated."""
-    global _np
-    if _np is None:
-        import numpy
-
-        _np = numpy
-    return _np
-
 
 def words_for(n_bits: int) -> int:
     """Number of uint64 words needed for an ``n_bits``-relation universe.
@@ -104,10 +90,10 @@ def view_for(scope: int, n_bits: int):
     column carries only the scope's members, densely renumbered.  Every
     mask a scoped DP run touches is a subset of its scope, so a heuristic
     optimizing a 16-relation fragment of a 1000-relation graph can run its
-    kernels on one uint64 lane with 16-bit dense matrices — the same width
-    the legacy sub-query extraction achieved, without building a sub-query —
-    while masks still unpack to full-width Python ints at the arena
-    boundary.  Numeric sort order is preserved: ascending positions map to
+    kernels on one uint64 lane with 16-bit dense matrices — the width of a
+    renumbered 16-relation sub-query, without building one — while masks
+    still unpack to full-width Python ints at the arena boundary.  Numeric
+    sort order is preserved: ascending positions map to
     ascending packed positions, and dropped bits are zero in every mask of
     the scope.
 
@@ -133,11 +119,6 @@ def view_for(scope: int, n_bits: int):
 def spec_words(spec) -> int:
     """Number of packed words a spec describes."""
     return spec if isinstance(spec, int) else words_for(len(spec))
-
-
-def spec_bits(spec) -> int:
-    """Packed-space universe width: bits a packed mask can populate."""
-    return WORD_BITS * spec if isinstance(spec, int) else len(spec)
 
 
 def compact(mask: int, spec) -> int:
@@ -196,7 +177,6 @@ def _remap_runs(positions):
 
 
 def _pack_identity(masks: Sequence[int], words: int):
-    np = _numpy()
     m = len(masks)
     column = np.empty((m, words), dtype=np.uint64)
     column[:, 0] = np.fromiter((mask & WORD_MASK for mask in masks),
@@ -221,7 +201,6 @@ def pack(masks: Sequence[int], spec):
     an identity pack.  Round-trips exactly for any mask inside the spec's
     scope.
     """
-    np = _numpy()
     if isinstance(spec, int):
         return _pack_identity(masks, spec)
     m = len(masks)
@@ -265,7 +244,6 @@ def unpack(column, spec=None) -> List[int]:
     """
     if spec is None or isinstance(spec, int):
         return _unpack_identity(column)
-    np = _numpy()
     m = len(column)
     source_lanes = {}
     for source_word, source_offset, dest_word, dest_offset, length \
@@ -313,7 +291,6 @@ def sort_keys(column):
     memoised connected set?") stay one vectorized ``searchsorted`` at any
     graph width.
     """
-    np = _numpy()
     words = column.shape[1]
     if words == 1:
         return column[:, 0]
@@ -338,7 +315,6 @@ def contains(column, masks):
 
     The lane-wise form of ``mask & row == mask`` for every pair at once.
     """
-    np = _numpy()
     held = np.ones((len(column), len(masks)), dtype=bool)
     for word in range(masks.shape[1]):  # loop: words — one subset test per bitset word
         mask_word = masks[:, word]
@@ -350,7 +326,6 @@ def contains(column, masks):
 @kernel
 def popcount_rows(column):
     """Per-set popcount summed across the trailing word axis (int64)."""
-    np = _numpy()
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
         return np.bitwise_count(column).sum(axis=-1, dtype=np.int64)
     # Fallback: byte-view + 256-entry lookup table (numpy 1.x).
@@ -370,7 +345,6 @@ def bit_positions(column, k: int, n_bits: int):
     ``b // 64`` at offset ``b % 64``, so one gather per universe bit answers
     membership for the whole batch.
     """
-    np = _numpy()
     positions = np.arange(n_bits)
     word_index = positions // WORD_BITS
     offsets = (positions % WORD_BITS).astype(np.uint64)
@@ -386,7 +360,6 @@ def one_hot_words(positions, words: int):
     and 0 otherwise — the word-matrix weight rows the dense-deposit unrank
     multiplies against.
     """
-    np = _numpy()
     out = np.zeros(positions.shape + (words,), dtype=np.uint64)
     word_index = (positions // WORD_BITS)[..., None]
     values = (np.uint64(1) << (positions % WORD_BITS).astype(np.uint64))[..., None]

@@ -28,6 +28,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.plan import JoinMethod, Plan
 
 __all__ = ["CostModel"]
@@ -104,8 +106,6 @@ class CostModel(ABC):
         arithmetic override this with real array kernels, as ``C_out`` and
         the PostgreSQL-like model do.
         """
-        import numpy as np
-
         return np.array([
             self.join_cost_from_stats(float(lr), float(lc), float(rr),
                                       float(rc), float(out))

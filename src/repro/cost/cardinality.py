@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import bitmapset as bms
 from ..core.contracts import kernel
 from ..core.joingraph import JoinGraph
@@ -160,8 +162,6 @@ class CardinalityEstimator:
         set's estimate adds the terms whose bits it holds.  Cached per
         layout and dropped by :meth:`invalidate`.
         """
-        import numpy as np
-
         from ..core import widebitmap as wb
 
         key = tuple(local_roots)
@@ -214,8 +214,6 @@ class CardinalityEstimator:
         to bound the float64 temporaries, and sums finish through
         :meth:`from_log10`.
         """
-        import numpy as np
-
         log_estimates = np.zeros(count, dtype=np.float64)
         if len(values):
             chunk = max(1, (1 << 20) // len(values))

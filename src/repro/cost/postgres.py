@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.contracts import kernel
 from ..core.plan import JoinMethod, Plan, join_plan, scan_plan
 from .base import CostModel
@@ -85,8 +87,6 @@ class PostgresCostModel(CostModel):
         ``log2`` factor comes from :func:`math.log2`, once per distinct rows
         value: numpy's ``log2`` is not guaranteed to round the same way.
         """
-        import numpy as np
-
         p = self.parameters
         left_rows = np.asarray(left_rows, dtype=np.float64)
         right_rows = np.asarray(right_rows, dtype=np.float64)

@@ -3,9 +3,9 @@
 See :mod:`repro.exec.backend` for the :class:`KernelBackend` protocol and the
 scalar reference implementation, :mod:`repro.exec.vectorized` for the batched
 numpy backend, and :mod:`repro.exec.multicore` for the sharded worker-process
-backend.  ``VectorizedBackend`` and ``MulticoreBackend`` are intentionally
-not imported eagerly — environments without numpy can still use everything
-scalar.
+backend.  ``VectorizedBackend`` and ``MulticoreBackend`` live in their own
+modules; :func:`resolve_backend` imports them on first use, because both
+modules import :mod:`repro.exec.backend`.
 """
 
 from .backend import (
@@ -19,7 +19,6 @@ from .backend import (
     iter_tree_edge_splits,
     resolve_backend,
     validate_workers,
-    vectorized_supported,
     words_for,
 )
 from .heuristic_kernels import greedy_union_partition, lindp_merge
@@ -37,6 +36,5 @@ __all__ = [
     "lindp_merge",
     "resolve_backend",
     "validate_workers",
-    "vectorized_supported",
     "words_for",
 ]

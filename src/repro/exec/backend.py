@@ -23,9 +23,9 @@ A backend instance is stateless and cheap; optimizers resolve one per run
 with :func:`resolve_backend`, which also implements the ``auto`` policy
 (vectorize when the query is large enough to amortize array setup, escalate
 to multicore workers when the query and the machine are large enough to
-amortize IPC) and the graceful numpy-less fallback.  Graph width is never a
-capability limit: the kernels pack vertex bitmaps into multi-word uint64
-columns (:func:`~repro.core.widebitmap.words_for` lanes per set — see
+amortize IPC).  Graph width is never a capability limit: the kernels pack
+vertex bitmaps into multi-word uint64 columns
+(:func:`~repro.core.widebitmap.words_for` lanes per set — see
 :mod:`repro.core.widebitmap`), so 1000-relation graphs run natively.
 
 One batch method exists per level *shape*, because the four rewired
@@ -71,7 +71,6 @@ __all__ = [
     "KernelOptimizerMixin",
     "ScalarBackend",
     "resolve_backend",
-    "vectorized_supported",
     "iter_tree_edge_splits",
     "validate_workers",
     "BACKEND_NAMES",
@@ -326,33 +325,14 @@ class KernelOptimizerMixin:
         return self._resolve_backend(query, subset).create_table(query)
 
 
-def vectorized_supported(query: QueryInfo) -> bool:
-    """True when the vectorized backend can run this query's masks.
-
-    Requires numpy (an install requirement, but stubbed environments may
-    lack it) — nothing else.  Graph width is an array parameter, not a
-    capability: bitmap columns carry
-    :func:`~repro.core.widebitmap.words_for` uint64 lanes per set, so any
-    width the scalar path can optimize, the kernels can too.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is an install requirement
-        return False
-    return True
-
-
 def resolve_backend(requested: str, query: QueryInfo,
                     subset: Optional[int] = None,
                     workers: Optional[int] = None) -> KernelBackend:
     """The backend that will actually execute one optimizer run.
 
     ``"scalar"``, ``"vectorized"`` and ``"multicore"`` request those
-    backends directly — except that a vectorized or multicore request in a
-    numpy-less environment quietly degrades to scalar, because the backend
-    is a performance knob and all backends produce bit-identical results
-    (graph width never degrades: the kernels carry multi-word bitmap
-    columns at any width).  ``"auto"`` picks vectorized for
+    backends directly, at any graph width (the kernels carry multi-word
+    bitmap columns).  ``"auto"`` picks vectorized for
     queries of at least :data:`AUTO_VECTORIZE_MIN_RELATIONS` relations
     (counted over the optimized ``subset``), and escalates to multicore from
     :data:`AUTO_MULTICORE_MIN_RELATIONS` relations when more than one CPU is
@@ -368,11 +348,6 @@ def resolve_backend(requested: str, query: QueryInfo,
             f"{', '.join(BACKEND_NAMES)}")
     validate_workers(workers)
     if requested == "scalar":
-        return ScalarBackend()
-    supported = vectorized_supported(query)
-    if not supported:
-        # numpy-less environments degrade to the scalar loops for every
-        # non-scalar request, multicore included.
         return ScalarBackend()
     if requested == "vectorized":
         from .vectorized import VectorizedBackend

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import bitmapset as bms
 from ..core.contracts import kernel
 from ..core.counters import OptimizerStats
@@ -75,8 +77,6 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
     ``rows()``'s term order, so every estimate equals the scalar one bit
     for bit.
     """
-    import numpy as np
-
     n = len(order)
     if n == 1:
         return query.leaf_plan(order[0])
@@ -228,8 +228,6 @@ def greedy_union_partition(
     forever after, so skipping them by root equality preserves the relative
     scan order the compaction produced.
     """
-    import numpy as np
-
     n_edges = len(weighted_edges)
     if n_edges == 0:
         return

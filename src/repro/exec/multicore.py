@@ -101,7 +101,6 @@ __all__ = [
     "WorkerPoolRegistry",
     "POOL_REGISTRY",
     "available_workers",
-    "pool_registry_info",
     "shutdown_worker_pools",
     "MULTICORE_MIN_TARGETS",
     "MULTICORE_MIN_WORK",
@@ -399,8 +398,8 @@ class WorkerPoolRegistry:
 
     The module-level :data:`POOL_REGISTRY` is the process-wide instance;
     :func:`shutdown_worker_pools` tears its pools down (idempotent, an
-    ``atexit`` hook does so at interpreter exit) and
-    :func:`pool_registry_info` snapshots its counters — surfaced by
+    ``atexit`` hook does so at interpreter exit) and :meth:`info` snapshots
+    its counters — surfaced by
     :meth:`repro.planner.server.PlannerService.stats`.
     """
 
@@ -451,19 +450,6 @@ class WorkerPoolRegistry:
 
 #: The process-wide shared pool registry.
 POOL_REGISTRY = WorkerPoolRegistry()
-
-#: Back-compat alias: the registry's live pool mapping (tests and older
-#: callers index it by worker count).
-_POOLS = POOL_REGISTRY._pools
-
-
-def _pool_for(n_workers: int) -> _WorkerPool:
-    return POOL_REGISTRY.lease(n_workers)
-
-
-def pool_registry_info() -> Dict[str, object]:
-    """Snapshot of :data:`POOL_REGISTRY` counters (see its docstring)."""
-    return POOL_REGISTRY.info()
 
 
 def shutdown_worker_pools() -> None:
@@ -521,7 +507,7 @@ class MulticoreBackend(KernelBackend):
         builder = builder_for(state)
         snapshot = builder.refresh(arena)
         n_shards = min(self.workers, len(target_arr))
-        pool = _pool_for(self.workers)
+        pool = POOL_REGISTRY.lease(self.workers)
         segment, meta = _publish_arrays({
             "masks": snapshot.masks,
             "costs": snapshot.costs,

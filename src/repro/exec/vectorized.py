@@ -382,8 +382,8 @@ class SnapshotBuilder:
     remaps the scope's bits to a dense packed space: every mask the run
     touches is a subset of the scope, so a 16-relation fragment of a
     1000-relation graph runs its kernels on one uint64 lane with 16-bit
-    dense matrices — the width the legacy sub-query extraction achieved,
-    without building a sub-query.  Inside the kernels *everything* lives in
+    dense matrices — the width of a renumbered 16-relation sub-query,
+    without building one.  Inside the kernels *everything* lives in
     packed space (including :attr:`kernel_adjacency`, the compact adjacency
     the block DFS walks); full-width Python ints appear only at the
     pack/unpack boundary of each level.

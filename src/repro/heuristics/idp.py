@@ -25,15 +25,12 @@ across iterations.
 Both drivers follow the kernelized-ladder contract (see
 :mod:`repro.heuristics.common`): ``backend=``/``workers=`` configure the
 inner exact optimizer's kernel execution backend, **one** inner instance is
-built per driver and reused for every fragment of every ``optimize()`` call
-(so per-query caches such as the enumeration context and the kernel
-snapshot state warm up across fragments instead of being rebuilt per
-``exact_factory()`` call), and every fragment — at any graph width — runs
-subset-scoped against the full-width graph: the kernels carry multi-word
-bitmap columns (:mod:`repro.core.widebitmap`), so wide fragments no longer
-detour through :meth:`QueryInfo.extract` (that renumbering route survives
-only as a legacy route taken on request; see
-:func:`repro.heuristics.common.optimize_fragment`).
+built per driver by ``exact_factory(backend=..., workers=...)`` and reused
+for every fragment of every ``optimize()`` call (so per-query caches such
+as the enumeration context and the kernel snapshot state warm up across
+fragments), and every fragment — at any graph width — runs subset-scoped
+against the full-width graph through :func:`optimize_fragment`: the kernels
+carry multi-word bitmap columns (:mod:`repro.core.widebitmap`).
 """
 
 from __future__ import annotations
@@ -46,55 +43,26 @@ from ..core.enumeration import EnumerationContext
 from ..core.memo import MemoTable
 from ..core.plan import Plan
 from ..core.query import QueryInfo
-from ..optimizers.base import JoinOrderOptimizer, OptimizationError
+from ..optimizers.base import JoinOrderOptimizer, OptimizationError, PlanResult
 from ..optimizers.mpdp import MPDP
-from .common import HeuristicBackendMixin, optimize_fragment
+from .common import HeuristicBackendMixin
 from .goo import GOO
 
-__all__ = ["IDP1", "IDP2"]
+__all__ = ["IDP1", "IDP2", "optimize_fragment"]
 
 
-def _default_exact_factory(backend: str = "scalar",
-                           workers: Optional[int] = None) -> JoinOrderOptimizer:
-    return MPDP(backend=backend, workers=workers)
+def optimize_fragment(exact: JoinOrderOptimizer, query: QueryInfo,
+                      fragment: int) -> PlanResult:
+    """Run ``exact`` on one fragment of ``query``, subset-scoped.
 
-
-def resolve_exact(factory: Callable[..., JoinOrderOptimizer],
-                  backend: str, workers: Optional[int]) -> JoinOrderOptimizer:
-    """Build the shared inner exact optimizer, threading the backend knob.
-
-    Factories that accept the standard knob (optimizer classes such as
-    :class:`~repro.optimizers.mpdp.MPDP` or
-    :class:`~repro.heuristics.lindp.LinearizedDP`, and the default factory)
-    get it; legacy zero-argument factories are called bare, preserving the
-    historical ``exact_factory=lambda: ...`` API.  The decision is made by
-    signature inspection, never by swallowing ``TypeError`` — a factory that
-    accepts only part of the knob still receives that part, so a requested
-    backend is never silently dropped (the exact bug class this module's
-    drivers were rewired to fix).  Knobs a ``functools.partial`` factory
-    has already bound are left alone: the user's pre-configuration wins
-    over the driver's default.
+    A one-line wrapper over ``exact.optimize(query, subset=fragment)``.  It
+    stays a named function of this module because the end-to-end
+    benchmark's tracer (``e2ebench/tracing.py``) wraps
+    ``repro.heuristics.idp.optimize_fragment`` by name to time each IDP
+    fragment for its ``heuristics.fragment*`` metrics; inlining it means
+    changing that tracer in the same commit.
     """
-    import functools
-    import inspect
-
-    bound = set()
-    probe = factory
-    while isinstance(probe, functools.partial):
-        bound |= set(probe.keywords or ())
-        probe = probe.func
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins/C callables: no knob support
-        return factory()
-    accepts_var_keyword = any(p.kind is p.VAR_KEYWORD
-                              for p in parameters.values())
-    kwargs = {}
-    if "backend" not in bound and (accepts_var_keyword or "backend" in parameters):
-        kwargs["backend"] = backend
-    if "workers" not in bound and (accepts_var_keyword or "workers" in parameters):
-        kwargs["workers"] = workers
-    return factory(**kwargs)
+    return exact.optimize(query, subset=fragment)
 
 
 class IDP1(HeuristicBackendMixin, JoinOrderOptimizer):
@@ -106,15 +74,14 @@ class IDP1(HeuristicBackendMixin, JoinOrderOptimizer):
     execution_style = "level_parallel"
 
     def __init__(self, k: int = 8,
-                 exact_factory: Callable[..., JoinOrderOptimizer] = _default_exact_factory,
+                 exact_factory: Callable[..., JoinOrderOptimizer] = MPDP,
                  backend: str = "scalar", workers: Optional[int] = None):
         if k < 2:
             raise ValueError("IDP1 needs k >= 2")
         self.k = k
         self._init_backend(backend, workers)
-        self.exact_factory = exact_factory
         #: The shared inner exact optimizer (one instance for every fragment).
-        self.exact_optimizer = resolve_exact(exact_factory, backend, workers)
+        self.exact_optimizer = exact_factory(backend=backend, workers=workers)
         self.name = f"IDP1({k})"
 
     def _run(self, query: QueryInfo, subset: int,
@@ -177,7 +144,7 @@ class IDP2(HeuristicBackendMixin, JoinOrderOptimizer):
     execution_style = "level_parallel"
 
     def __init__(self, k: int = 15,
-                 exact_factory: Callable[..., JoinOrderOptimizer] = _default_exact_factory,
+                 exact_factory: Callable[..., JoinOrderOptimizer] = MPDP,
                  initial_heuristic: Optional[JoinOrderOptimizer] = None,
                  max_iterations: Optional[int] = None,
                  backend: str = "scalar", workers: Optional[int] = None):
@@ -185,10 +152,9 @@ class IDP2(HeuristicBackendMixin, JoinOrderOptimizer):
             raise ValueError("IDP2 needs k >= 2")
         self.k = k
         self._init_backend(backend, workers)
-        self.exact_factory = exact_factory
         #: The shared inner exact optimizer (one instance for every fragment
-        #: of every iteration — never re-created per ``exact_factory()``).
-        self.exact_optimizer = resolve_exact(exact_factory, backend, workers)
+        #: of every iteration).
+        self.exact_optimizer = exact_factory(backend=backend, workers=workers)
         self.initial_heuristic = initial_heuristic or GOO()
         self.max_iterations = max_iterations
         self.name = f"IDP2-{self.exact_optimizer.name} ({k})"

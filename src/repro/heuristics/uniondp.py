@@ -30,9 +30,7 @@ All fragment optimizations of one round run against the *same* join graph
 with different ``within=`` scopes — at any width, since the kernels carry
 multi-word bitmap columns (:mod:`repro.core.widebitmap`) — so they share
 the graph's :class:`~repro.core.enumeration.EnumerationContext` (see
-PERFORMANCE.md).  Extraction into compact sub-queries survives only as the
-legacy route :func:`~repro.heuristics.common.optimize_fragment` takes on
-request.
+PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from ..core.plan import Plan
 from ..core.query import QueryInfo
 from ..core.unionfind import UnionFind
 from ..optimizers.base import JoinOrderOptimizer, OptimizationError
-from .common import HeuristicBackendMixin, optimize_fragment
-from .idp import _default_exact_factory, resolve_exact
+from ..optimizers.mpdp import MPDP
+from .common import HeuristicBackendMixin
 
 __all__ = ["UnionDP"]
 
@@ -61,17 +59,16 @@ class UnionDP(HeuristicBackendMixin, JoinOrderOptimizer):
     execution_style = "level_parallel"
 
     def __init__(self, k: int = 15,
-                 exact_factory: Callable[..., JoinOrderOptimizer] = _default_exact_factory,
+                 exact_factory: Callable[..., JoinOrderOptimizer] = MPDP,
                  max_rounds: int = 64,
                  backend: str = "scalar", workers: Optional[int] = None):
         if k < 2:
             raise ValueError("UnionDP needs k >= 2")
         self.k = k
         self._init_backend(backend, workers)
-        self.exact_factory = exact_factory
         #: The shared inner exact optimizer (one instance for every fragment
-        #: of every round — never re-created per ``exact_factory()``).
-        self.exact_optimizer = resolve_exact(exact_factory, backend, workers)
+        #: of every round).
+        self.exact_optimizer = exact_factory(backend=backend, workers=workers)
         self.max_rounds = max_rounds
         self.name = f"UnionDP-{self.exact_optimizer.name} ({k})"
 
@@ -97,7 +94,7 @@ class UnionDP(HeuristicBackendMixin, JoinOrderOptimizer):
                 if bms.popcount(partition) == 1:
                     partition_plans.append(current.leaf_plan(bms.lowest_bit_index(partition)))
                     continue
-                result = optimize_fragment(self.exact_optimizer, current, partition)
+                result = self.exact_optimizer.optimize(current, subset=partition)
                 stats.merge(result.stats)
                 partition_plans.append(result.plan)
             if len(partitions) == current.n_relations:

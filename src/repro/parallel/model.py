@@ -51,7 +51,6 @@ sanity-checked.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional
 
@@ -155,11 +154,10 @@ class ParallelCPUModel:
         to the same sequential sum, modulo the per-level overheads).
 
         When only an ``algorithm`` name is given, the style is resolved
-        through the planner's :data:`~repro.planner.registry.DEFAULT_REGISTRY`.
-        Names the registry does not know fall back to the legacy
-        name-prefix match (``DPE*``/``DPccp*`` -> producer/consumer) with a
-        :class:`DeprecationWarning` — pass ``execution_style`` instead.
-        One of the two must be given.
+        through the planner's :data:`~repro.planner.registry.DEFAULT_REGISTRY`;
+        a name the registry does not know raises :class:`ValueError` — pass
+        ``execution_style`` for unregistered optimizers.  One of the two
+        must be given.
         """
         if execution_style is None:
             if algorithm is None:
@@ -209,19 +207,12 @@ class ParallelCPUModel:
         from ..planner.registry import DEFAULT_REGISTRY
 
         style = DEFAULT_REGISTRY.execution_style_of(algorithm)
-        if style is not None:
-            return style
-        warnings.warn(
-            f"algorithm name {algorithm!r} is not in the optimizer registry; "
-            "falling back to deprecated name-prefix dispatch — pass "
-            "execution_style= (or register the optimizer) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        upper = algorithm.upper()
-        if upper.startswith("DPE") or upper.startswith("DPCCP"):
-            return "producer_consumer"
-        return "level_parallel"
+        if style is None:
+            raise ValueError(
+                f"algorithm name {algorithm!r} is not in the optimizer "
+                "registry (repro.planner.registry.DEFAULT_REGISTRY); pass "
+                "execution_style= or register the optimizer")
+        return style
 
 
 def speedup_curve(model: ParallelCPUModel, stats: OptimizerStats,
@@ -235,9 +226,8 @@ def speedup_curve(model: ParallelCPUModel, stats: OptimizerStats,
 
     Like :meth:`ParallelCPUModel.simulate`, dispatch takes either a
     registered ``algorithm`` name or an explicit ``execution_style``; the
-    style is resolved *once* and forwarded to every curve point, so an
-    unregistered name warns (through the deprecated name-prefix fallback)
-    at most once instead of once per thread count.
+    style is resolved *once* and forwarded to every curve point (an
+    unregistered name raises :class:`ValueError`).
     """
     if execution_style is None:
         if algorithm is None:

@@ -44,6 +44,7 @@ restarts (see :class:`~repro.planner.server.PlannerService`).
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import zlib
@@ -263,7 +264,10 @@ class PlanCache:
         The snapshot is taken stripe by stripe (consistent per stripe, not
         globally atomic — concurrent writers may land in or miss the tail).
         Counters are not persisted: a restored cache starts cold on stats
-        but warm on content.
+        but warm on content.  The dump goes to a temporary file beside
+        ``path`` that replaces it only once complete, so a failed save
+        leaves the previous snapshot intact (on CPython <= 3.11, pickle
+        already raises ``RecursionError`` on a plan some 400 joins deep).
         """
         items: List[Tuple[str, object]] = []
         for stripe in self._stripes:
@@ -275,8 +279,15 @@ class PlanCache:
             "version": _PERSIST_VERSION,
             "entries": items,
         }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        temporary = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+        handle = open(temporary, "wb")
+        try:
+            with handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(temporary, path)
+        except BaseException:
+            os.unlink(temporary)
+            raise
         return len(items)
 
     def restore(self, path) -> int:

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("scalar", "vectorized", "multicore", "auto"),
                         default="auto",
                         help="kernel execution backend for the DP inner loops "
-                             "— both the exact rungs and the IDP2/LinDP/GOO "
+                             "— both the exact rungs and the IDP2/LinDP "
                              "heuristic tiers' inner optimizers and merge "
                              "kernels (default: auto — multicore worker "
                              "processes or vectorized numpy kernels for "

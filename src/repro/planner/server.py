@@ -266,10 +266,12 @@ class PlannerService:
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
         """One consistent snapshot of service, cache and pool counters."""
+        from ..exec.multicore import POOL_REGISTRY
+
         with self._stats_lock:
             counts = dict(self._counts)
             submitted = self._submitted
-        info: Dict[str, object] = {
+        return {
             "submitted": submitted,
             "statuses": counts,
             "queue_depth": self._queue.qsize(),
@@ -279,14 +281,8 @@ class PlannerService:
             "restored_entries": self._restored_entries,
             "coalesced_plans": self.planner.coalesced_plans,
             "cache": self.planner.cache_info(),
+            "kernel_pools": POOL_REGISTRY.info(),
         }
-        try:  # the multicore backend needs numpy; stats must not
-            from ..exec.multicore import POOL_REGISTRY
-        except ImportError:  # pragma: no cover - numpy-less environment
-            info["kernel_pools"] = {}
-        else:
-            info["kernel_pools"] = POOL_REGISTRY.info()
-        return info
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PlannerService(workers={self.workers}, "

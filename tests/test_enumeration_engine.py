@@ -24,7 +24,6 @@ from repro.core.connectivity import (
     count_ccp_pairs,
     iter_connected_subsets_bruteforce,
     iter_connected_subsets_of_size,
-    iter_connected_subsets_of_size_baseline,
 )
 from repro.core.enumeration import EnumerationContext
 from repro.core.joingraph import JoinGraph
@@ -127,7 +126,7 @@ class TestIncrementalIndexMatchesBruteforce:
         n = graph.n_relations
         for size in range(1, n + 1):
             new = list(iter_connected_subsets_of_size(graph, size))
-            old = list(iter_connected_subsets_of_size_baseline(graph, size))
+            old = sorted(iter_connected_subsets_bruteforce(graph, size))
             assert new == old
 
     def test_levels_are_cached_objects(self):

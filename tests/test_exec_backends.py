@@ -34,7 +34,6 @@ from repro.exec import (
     AUTO_VECTORIZE_MIN_RELATIONS,
     ScalarBackend,
     resolve_backend,
-    vectorized_supported,
 )
 from repro.exec import vectorized as vectorized_module
 from repro.exec.vectorized import VectorizedBackend
@@ -258,7 +257,6 @@ class TestBackendResolution:
         for vertex in range(1, 70):
             graph.add_edge(0, vertex, selectivity=1e-3)
         query = QueryInfo(graph, [1e3] * 70)
-        assert vectorized_supported(query)
         assert isinstance(resolve_backend("vectorized", query),
                           VectorizedBackend)
 

@@ -1,11 +1,13 @@
-"""Kernelized heuristic ladder (ISSUE 5): fragment extraction, batched
-kernels, shared inner-optimizer reuse and the cache-reuse contracts.
+"""Kernelized heuristic ladder: batched kernels, shared inner-optimizer
+reuse and the cache-reuse contracts.
 
 Complements the cross-backend fuzz band in ``test_fuzz_differential.py``
 with targeted unit coverage:
 
-* ``QueryInfo.extract`` — bit-identity with subset-scoped optimization
-  (same plans, costs, counters), leaf-plan sharing, root-chain routing;
+* the one fragment route — a fragment optimized subset-scoped on the
+  full-width graph against the same relations as a query of their own,
+  and IDP's fragments passing through ``repro.heuristics.idp``'s
+  ``optimize_fragment``;
 * the batched heuristic kernels — ``lindp_merge``'s interval DP and
   ``greedy_union_partition``'s union rounds against their scalar
   reference loops;
@@ -35,8 +37,8 @@ from repro.core.unionfind import UnionFind
 from repro.cost.cardinality import CardinalityEstimator
 from repro.cost.cout import CoutCostModel
 from repro.exec import greedy_union_partition, lindp_merge
-from repro.heuristics import GOO, IDP1, IDP2, AdaptiveLinDP, LinearizedDP, UnionDP
-from repro.heuristics.common import optimize_fragment
+from repro.heuristics import IDP1, IDP2, AdaptiveLinDP, LinearizedDP, UnionDP
+from repro.heuristics.idp import optimize_fragment
 from repro.heuristics.ikkbz import IKKBZ
 from repro.optimizers.mpdp import MPDP
 from repro.workloads import (
@@ -73,80 +75,77 @@ def connected_fragment(query, size, start=0):
 
 
 # --------------------------------------------------------------------- #
-# QueryInfo.extract
+# The fragment route: subset-scoped on the full-width graph
 # --------------------------------------------------------------------- #
-class TestExtract:
+def _as_own_query(query, fragment):
+    """The relations of ``fragment`` as a query of their own: renumbered
+    ascending, same base cardinalities, induced edges in graph order (the
+    order the estimator adds its terms in).  Returns the query and the
+    original index of each local vertex."""
+    vertices = list(bms.iter_bits(fragment))
+    index_of = {vertex: index for index, vertex in enumerate(vertices)}
+    graph = JoinGraph(len(vertices),
+                      [query.graph.relation_names[v] for v in vertices])
+    for edge in query.graph.edges_within(fragment):
+        graph.add_edge(index_of[edge.left], index_of[edge.right],
+                       edge.selectivity)
+    estimator = CardinalityEstimator(
+        graph, [query.cardinality.base_rows(v) for v in vertices],
+        min_rows=query.cardinality.min_rows)
+    return QueryInfo(graph, cost_model=query.cost_model,
+                     cardinality=estimator), vertices
+
+
+def _relabelled(plan, vertices):
+    if plan.is_leaf:
+        return (vertices[plan.relation_index],)
+    return (_relabelled(plan.left, vertices),
+            _relabelled(plan.right, vertices))
+
+
+class TestFragmentRoute:
     @pytest.mark.parametrize("n,extra", [(20, 0.2), (70, 0.05), (90, 0.02)])
-    def test_extracted_fragment_optimizes_bit_identically(self, n, extra):
+    def test_fragment_optimizes_like_its_own_query(self, n, extra):
+        """A fragment run subset-scoped on the full graph (two bitmap words
+        past 64 relations) gives the plan, costs and counters of the same
+        relations optimized as a query of their own."""
         query = random_connected_query(n, extra_edge_probability=extra, seed=9)
         fragment = connected_fragment(query, 9)
-        direct = MPDP().optimize(query, subset=fragment)
-        extracted = MPDP().optimize(query.extract(fragment))
-        assert_results_identical(direct, extracted, f"extract n={n}")
+        native = optimize_fragment(MPDP(backend="vectorized"), query, fragment)
+        own, vertices = _as_own_query(query, fragment)
+        alone = MPDP().optimize(own)
+        assert native.plan.relations == fragment
+        assert native.plan.structure() == _relabelled(alone.plan, vertices)
+        assert [(node.method, node.rows, node.cost)
+                for node in native.plan.iter_nodes()] == \
+            [(node.method, node.rows, node.cost)
+             for node in alone.plan.iter_nodes()]
+        for field in COUNTER_FIELDS:
+            assert getattr(native.stats, field) == \
+                getattr(alone.stats, field), field
 
-    def test_extracted_leaf_plans_are_shared_objects(self):
-        query = chain_query(12, seed=0)
-        fragment = bms.from_indices([2, 3, 4, 5])
-        sub = query.extract(fragment)
-        for local, original in enumerate(bms.iter_bits(fragment)):
-            assert sub.leaf_plan(local) is query.leaf_plan(original)
+    @pytest.mark.parametrize("cls", [IDP1, IDP2])
+    def test_idp_fragments_go_through_the_named_route(self, cls, monkeypatch):
+        """IDP1 and IDP2 look ``optimize_fragment`` up in
+        :mod:`repro.heuristics.idp` on every fragment, so wrapping it there
+        by name sees each fragment without changing the plan."""
+        import repro.heuristics.idp as idp_module
 
-    def test_extracted_rows_route_through_root_estimator(self):
-        query = chain_query(15, seed=1)
-        fragment = bms.from_indices([4, 5, 6, 7])
-        sub = query.extract(fragment)
-        assert sub.is_contracted and sub.root is query
-        # Local mask {0, 1} of the fragment == root mask {4, 5}.
-        assert sub.rows(0b11) == query.rows(bms.from_indices([4, 5]))
+        query = random_connected_query(40, extra_edge_probability=0.08, seed=5)
+        expected = cls(k=5).optimize(query)
+        fragments = []
+        original = idp_module.optimize_fragment
 
-    def test_extract_of_contracted_query_chains_to_the_same_root(self):
-        query = chain_query(12, seed=2)
-        goo = GOO().optimize(query)
-        partitions = [bms.from_indices([0, 1, 2])] + [
-            bms.bit(v) for v in range(3, 12)]
-        plans = [MPDP().optimize(query, subset=partitions[0]).plan] + [
-            query.leaf_plan(v) for v in range(3, 12)]
-        contracted = query.contract(partitions, plans)
-        sub = contracted.extract(bms.from_indices([0, 1, 2]))
-        assert sub.root is query
-        assert sub.rows(0b1) == contracted.rows(0b1)
-        del goo
+        def recording(exact, fragment_query, fragment):
+            fragments.append(fragment)
+            return original(exact, fragment_query, fragment)
 
-    def test_extract_rejects_bad_subsets(self):
-        query = chain_query(6, seed=0)
-        with pytest.raises(ValueError):
-            query.extract(0)
-        with pytest.raises(ValueError):
-            query.extract(bms.bit(6))
-
-    def test_wide_graph_fragments_dispatch_natively(self, monkeypatch):
-        """optimize_fragment keeps >62-relation fragments subset-scoped on
-        the full-width graph (multi-word kernel columns make extraction
-        unnecessary); the extract route only fires when explicitly
-        requested via FRAGMENT_DISPATCH (the numpy-less fallback path)."""
-        import repro.heuristics.common as common_module
-
-        calls = {"extract": 0}
-        original = type(chain_query(4, seed=0)).extract
-
-        def counting(self, subset, name=None):
-            calls["extract"] += 1
-            return original(self, subset, name)
-
-        monkeypatch.setattr("repro.core.query.QueryInfo.extract", counting)
-        wide = chain_query(70, seed=0)
-        native = optimize_fragment(MPDP(), wide, connected_fragment(wide, 6))
-        assert calls["extract"] == 0
-        narrow = chain_query(30, seed=0)
-        optimize_fragment(MPDP(), narrow, connected_fragment(narrow, 6))
-        assert calls["extract"] == 0
-        # The legacy route stays available (and bit-identical) on request.
-        monkeypatch.setattr(common_module, "FRAGMENT_DISPATCH", "extract")
-        extracted = optimize_fragment(MPDP(), wide,
-                                      connected_fragment(wide, 6))
-        assert calls["extract"] == 1
-        assert extracted.cost == native.cost
-        assert str(extracted.plan) == str(native.plan)
+        monkeypatch.setattr(idp_module, "optimize_fragment", recording)
+        result = cls(k=5).optimize(query)
+        assert fragments
+        assert all(1 < bms.popcount(fragment) <= 5 for fragment in fragments)
+        assert result.cost == expected.cost
+        assert result.plan.structure() == expected.plan.structure()
 
 
 # --------------------------------------------------------------------- #
@@ -166,11 +165,13 @@ class TestLinDPKernel:
         kernel = LinearizedDP(backend="vectorized").optimize(make_query())
         assert_results_identical(scalar, kernel)
 
-    def test_kernel_on_extracted_wide_fragment(self):
+    def test_kernel_on_wide_graph_fragment(self):
         query = random_connected_query(75, extra_edge_probability=0.04, seed=8)
-        sub = query.extract(connected_fragment(query, 20))
-        scalar = LinearizedDP(backend="scalar").optimize(sub)
-        kernel = LinearizedDP(backend="vectorized").optimize(sub)
+        fragment = connected_fragment(query, 20)
+        scalar = LinearizedDP(backend="scalar").optimize(query,
+                                                         subset=fragment)
+        kernel = LinearizedDP(backend="vectorized").optimize(query,
+                                                             subset=fragment)
         assert_results_identical(scalar, kernel)
 
     def test_single_relation_order(self):
@@ -261,11 +262,12 @@ def _cycle_query(n, rows, selectivity, min_rows=1.0):
         graph, [rows] * n, min_rows=min_rows))
 
 
-def _extracted(make_query):
-    query = make_query()
-    size = min(10, query.n_relations - 1)
-    sub = query.extract(connected_fragment(query, size))
-    return sub, _random_masks(sub.n_relations, 200, seed=11), None
+def _fragment(query):
+    # A fragment scoped on the full-width graph, the layout every
+    # heuristic fragment runs on.
+    scope = connected_fragment(query, min(10, query.n_relations - 1))
+    return (query, _random_subsets(scope, 200, seed=11),
+            wb.view_for(scope, query.n_relations))
 
 
 def _contracted_remap():
@@ -288,11 +290,11 @@ def _root_remap():
 #: Each case builds ``(query, masks, spec)``; ``spec`` None hands the batch
 #: over as Python ints, anything else as a column packed with that spec.
 FOLD_CASES = {
-    "extracted-random-70": lambda: _extracted(
-        lambda: random_connected_query(70, extra_edge_probability=0.05, seed=3)),
-    "extracted-musicbrainz-100": lambda: _extracted(
-        lambda: scaled_musicbrainz_query(100, seed=4)),
-    "extracted-clique-10": lambda: _extracted(lambda: clique_query(10, seed=5)),
+    "fragment-random-70": lambda: _fragment(
+        random_connected_query(70, extra_edge_probability=0.05, seed=3)),
+    "fragment-musicbrainz-100": lambda: _fragment(
+        scaled_musicbrainz_query(100, seed=4)),
+    "fragment-clique-10": lambda: _fragment(clique_query(10, seed=5)),
     "contracted-snowflake-20": lambda: (
         _contract_grown(snowflake_query(20, seed=6), 5),
         _random_masks(16, 100, seed=12), None),
@@ -416,60 +418,34 @@ class TestFoldRowsKernel:
 # --------------------------------------------------------------------- #
 class TestSharedInnerOptimizer:
     @pytest.mark.parametrize("driver_factory", [
-        lambda factory: IDP2(k=5, exact_factory=factory),
-        lambda factory: IDP1(k=5, exact_factory=factory),
-        lambda factory: UnionDP(k=5, exact_factory=factory),
+        lambda factory: IDP2(k=5, exact_factory=factory, backend="vectorized"),
+        lambda factory: IDP1(k=5, exact_factory=factory, backend="vectorized"),
+        lambda factory: UnionDP(k=5, exact_factory=factory,
+                                backend="vectorized"),
     ])
     def test_exact_factory_called_once_per_driver(self, driver_factory):
         """Regression: the seed code called exact_factory() once per
         fragment, discarding warm caches; now one shared instance serves
-        every fragment of every optimize() call."""
-        calls = {"count": 0}
+        every fragment of every optimize() call, built by one
+        ``exact_factory(backend=..., workers=...)`` call."""
+        calls = []
 
         def counting_factory(**kwargs):
-            calls["count"] += 1
+            calls.append(kwargs)
             return MPDP(**kwargs)
 
         driver = driver_factory(counting_factory)
-        assert calls["count"] == 1
+        assert calls == [{"backend": "vectorized", "workers": None}]
         query = random_connected_query(30, extra_edge_probability=0.08, seed=3)
         driver.optimize(query)
         driver.optimize(random_connected_query(25, extra_edge_probability=0.1,
                                                seed=4))
-        assert calls["count"] == 1
+        assert len(calls) == 1
 
-    def test_legacy_zero_argument_factories_still_work(self):
-        driver = IDP2(k=5, exact_factory=lambda: MPDP())
-        assert driver.exact_optimizer.backend == "scalar"
-        result = driver.optimize(chain_query(12, seed=1))
-        assert result.cost == IDP2(k=5).optimize(chain_query(12, seed=1)).cost
-
-    def test_partial_signature_factory_still_gets_the_backend(self):
-        """A factory accepting backend but not workers must still receive
-        the backend — dropping the whole knob on a partial signature would
-        reintroduce the silent-scalar bug."""
-        captured = {}
-
-        def factory(backend="scalar"):
-            captured["backend"] = backend
-            return MPDP(backend=backend)
-
-        driver = IDP2(k=5, exact_factory=factory, backend="vectorized")
-        assert captured["backend"] == "vectorized"
-        assert driver.exact_optimizer.backend == "vectorized"
-
-    def test_partial_factory_preconfiguration_wins(self):
-        """A functools.partial with its own backend binding must keep it —
-        the driver's default never overrides explicit user configuration."""
-        import functools
-
-        driver = IDP2(k=5,
-                      exact_factory=functools.partial(MPDP,
-                                                      backend="vectorized"))
-        assert driver.exact_optimizer.backend == "vectorized"
-
-    def test_backend_knob_reaches_the_shared_instance(self):
-        driver = IDP2(k=5, backend="multicore", workers=3)
+    @pytest.mark.parametrize("cls", [IDP1, IDP2, UnionDP])
+    def test_backend_knob_reaches_the_shared_instance(self, cls):
+        driver = cls(k=5, backend="multicore", workers=3)
+        assert type(driver.exact_optimizer) is MPDP
         assert driver.exact_optimizer.backend == "multicore"
         assert driver.exact_optimizer.workers == 3
 

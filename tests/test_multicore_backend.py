@@ -169,10 +169,12 @@ class TestShardMechanics:
     def test_pool_reuse_across_runs(self, force_sharding):
         make = lambda: star_query(10, seed=0)  # noqa: E731
         MPDP(backend="multicore", workers=2).optimize(make())
-        pool = mc._POOLS.get(2)
-        assert pool is not None and pool.alive
+        info = mc.POOL_REGISTRY.info()
+        assert info["pools"]["2"]["alive"]
+        pool = mc.POOL_REGISTRY.lease(2)
         MPDP(backend="multicore", workers=2).optimize(make())
-        assert mc._POOLS.get(2) is pool  # same processes, no respawn
+        assert mc.POOL_REGISTRY.lease(2) is pool  # same processes, no respawn
+        assert mc.POOL_REGISTRY.info()["pools_created"] == info["pools_created"]
 
     def test_no_leaked_shared_memory(self, force_sharding):
         MPDP(backend="multicore", workers=2).optimize(
@@ -181,7 +183,7 @@ class TestShardMechanics:
         assert leaked == []
 
     def test_worker_error_propagates_and_pool_survives(self):
-        pool = mc._pool_for(2)
+        pool = mc.POOL_REGISTRY.lease(2)
         segment, meta = mc._publish_arrays(
             {"masks": np.array([1], dtype=np.int64)})
         try:
@@ -225,7 +227,7 @@ class TestShardMechanics:
     def test_shutdown_is_idempotent_and_rebuilds(self, force_sharding):
         shutdown_worker_pools()
         shutdown_worker_pools()
-        assert mc._POOLS == {}
+        assert mc.POOL_REGISTRY.info()["pools"] == {}
         result = MPDP(backend="multicore", workers=2).optimize(
             star_query(10, seed=0))
         assert result.cost == MPDP(backend="scalar").optimize(
@@ -238,7 +240,7 @@ class TestBreakEvenGating:
         def forbid(_workers):
             raise AssertionError("worker pool requested below break-even")
 
-        monkeypatch.setattr(mc, "_pool_for", forbid)
+        monkeypatch.setattr(mc.POOL_REGISTRY, "lease", forbid)
         scalar = MPDP(backend="scalar").optimize(star_query(9, seed=2))
         multicore = MPDP(backend="multicore", workers=4).optimize(
             star_query(9, seed=2))

@@ -95,17 +95,13 @@ class TestSimulatedTimes:
 
 
 class TestSpeedupCurveDispatch:
-    def test_explicit_style_needs_no_registry_entry(self, mpdp_stats, recwarn):
-        """An unregistered name with an explicit style must not warn — the
+    def test_explicit_style_needs_no_registry_entry(self, mpdp_stats):
+        """An unregistered name with an explicit style must not raise — the
         style is forwarded to every curve point instead of being re-resolved
-        through the deprecated name-prefix fallback per point."""
-        import warnings
-
+        through the registry per point."""
         model = ParallelCPUModel()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            curve = speedup_curve(model, mpdp_stats, "MyCustomOptimizer",
-                                  [1, 8, 24], execution_style="level_parallel")
+        curve = speedup_curve(model, mpdp_stats, "MyCustomOptimizer",
+                              [1, 8, 24], execution_style="level_parallel")
         assert curve[1] == pytest.approx(1.0)
         assert curve[24] > curve[8] > curve[1] - 1e-9
 
@@ -116,14 +112,11 @@ class TestSpeedupCurveDispatch:
                                execution_style="producer_consumer")[24]
         assert forced == pytest.approx(as_producer)
 
-    def test_unregistered_name_warns_once(self, mpdp_stats):
+    def test_unregistered_name_raises(self, mpdp_stats):
         model = ParallelCPUModel()
-        with pytest.warns(DeprecationWarning) as record:
-            curve = speedup_curve(model, mpdp_stats, "NotRegisteredDP",
-                                  [1, 4, 8, 16, 24])
-        assert len(curve) == 5
-        # One resolution for the whole curve, not one per curve point.
-        assert len(record) == 1
+        with pytest.raises(ValueError, match="not in the optimizer registry"):
+            speedup_curve(model, mpdp_stats, "NotRegisteredDP",
+                          [1, 4, 8, 16, 24])
 
     def test_requires_name_or_style(self, mpdp_stats):
         with pytest.raises(ValueError):

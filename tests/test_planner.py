@@ -11,8 +11,8 @@ Covers ISSUE 2's acceptance criteria:
   and returns plans/costs bit-identical to invoking that optimizer directly;
 * the time budget falls down the exact -> IDP2 -> LinDP -> GOO ladder with
   the harness's timeout semantics;
-* ``ParallelCPUModel.simulate`` dispatches on registry execution styles,
-  keeping the old name-prefix path as a deprecated fallback;
+* ``ParallelCPUModel.simulate`` dispatches on registry execution styles
+  and rejects unregistered names;
 * the ``plan_sql`` front door and the ``repro-plan`` CLI.
 """
 
@@ -702,14 +702,11 @@ class TestParallelModelDispatch:
         assert dpe == pytest.approx(model.producer_consumer_time(stats, 8))
         assert mpdp == pytest.approx(model.level_parallel_time(stats, 8))
 
-    def test_unknown_name_uses_deprecated_prefix_fallback(self, stats):
+    def test_unknown_name_raises(self, stats):
         model = ParallelCPUModel()
-        with pytest.deprecated_call():
-            value = model.simulate(stats, 8, "DPE-experimental")
-        assert value == pytest.approx(model.producer_consumer_time(stats, 8))
-        with pytest.deprecated_call():
-            other = model.simulate(stats, 8, "SomethingElse")
-        assert other == pytest.approx(model.level_parallel_time(stats, 8))
+        for name in ("DPE-experimental", "SomethingElse"):
+            with pytest.raises(ValueError, match="DEFAULT_REGISTRY"):
+                model.simulate(stats, 8, name)
 
     def test_requires_algorithm_or_style(self, stats):
         with pytest.raises(ValueError, match="algorithm name or"):
@@ -863,7 +860,7 @@ class TestHeuristicTierBackendThreading:
     def test_multicore_100_relation_plan_constructs_inner_with_backend(self):
         """Regression: a backend="multicore" 100-relation plan must build
         its IDP2 tier (and that tier's shared inner exact optimizer) with
-        the multicore backend — the seed-era `_default_exact_factory`
+        the multicore backend — the seed-era default exact factory
         dropped the knob and silently ran scalar."""
         planner = AdaptivePlanner(enable_cache=False, backend="multicore",
                                   workers=2)

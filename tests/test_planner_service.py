@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+import repro.exec.multicore as mc
 from repro.core.joingraph import JoinGraph
 from repro.core.query import QueryInfo
 from repro.planner import (
@@ -186,6 +187,23 @@ class TestCachePersistence:
             PlanCache().restore(path)
         with pytest.raises(FileNotFoundError):
             PlanCache().restore(tmp_path / "missing.cache")
+
+    def test_failed_save_keeps_the_previous_snapshot(self, tmp_path):
+        """A save whose dump fails midway (here on an entry pickle cannot
+        serialize; on CPython <= 3.11 a plan some 400 joins deep exhausts
+        pickle's recursion limit the same way) must leave the previous
+        snapshot intact and no temporary file behind."""
+        path = tmp_path / "plans.cache"
+        cache = PlanCache(stripes=1)
+        cache.put("shallow", 1)
+        assert cache.save(path) == 1
+        cache.put("unpicklable", threading.Lock())
+        with pytest.raises(TypeError):
+            cache.save(path)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["plans.cache"]
+        restored = PlanCache(stripes=1)
+        assert restored.restore(path) == 1
+        assert restored.signatures() == ["shallow"]
 
 
 # --------------------------------------------------------------------- #
@@ -409,24 +427,19 @@ class TestReplayHarness:
 @pytest.mark.multicore
 class TestWorkerPoolRegistry:
     def test_lease_shares_and_info_counts(self):
-        mc = pytest.importorskip("repro.exec.multicore")
         mc.shutdown_worker_pools()
         try:
             pool = mc.POOL_REGISTRY.lease(2)
             assert mc.POOL_REGISTRY.lease(2) is pool  # shared, no respawn
-            assert mc._pool_for(2) is pool            # legacy path, same pool
-            assert mc._POOLS.get(2) is pool           # back-compat alias
-            info = mc.pool_registry_info()
+            info = mc.POOL_REGISTRY.info()
             assert info["pools"]["2"]["alive"] is True
             assert info["pools"]["2"]["workers"] == 2
             assert info["pools_created"] >= 1
         finally:
             mc.shutdown_worker_pools()
-        assert mc._POOLS == {}
-        assert mc.pool_registry_info()["pools"] == {}
+        assert mc.POOL_REGISTRY.info()["pools"] == {}
 
     def test_service_stats_surface_registry(self):
-        mc = pytest.importorskip("repro.exec.multicore")
         mc.shutdown_worker_pools()
         try:
             mc.POOL_REGISTRY.lease(1)

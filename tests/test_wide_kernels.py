@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.core.widebitmap as wb
+import repro.exec.vectorized as vectorized
 from repro.core.widebitmap import _remap_runs
 
 #: Widths around every lane edge: sub-word, the retired 62 ceiling, the
@@ -69,10 +70,8 @@ def test_view_for_remap_only_when_it_saves_words():
 
 def test_spec_words_and_bits():
     assert wb.spec_words(3) == 3
-    assert wb.spec_bits(3) == 192
     spec = tuple(range(10, 80))
     assert wb.spec_words(spec) == 2
-    assert wb.spec_bits(spec) == 70
 
 
 # --------------------------------------------------------------------- #
@@ -247,7 +246,6 @@ def test_one_hot_words():
 # Snapshot / SnapshotBuilder on wide graphs
 # --------------------------------------------------------------------- #
 def test_wide_snapshot_lookup_one():
-    vectorized = pytest.importorskip("repro.exec.vectorized")
     n_bits = 130
     masks = sorted(set(random_masks(n_bits, 50, seed=41)))
     words = wb.words_for(n_bits)
@@ -266,7 +264,6 @@ def test_wide_snapshot_lookup_one():
 def test_builder_absorb_and_fallback():
     """absorb() hands packed winner columns to the next refresh; any
     coverage mismatch (interleaved scalar put) falls back to int packing."""
-    vectorized = pytest.importorskip("repro.exec.vectorized")
     from repro.core.arena import PlanArena
     from repro.cost.cout import CoutCostModel
     from repro.workloads import chain_query
