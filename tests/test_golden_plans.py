@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.heuristics import IDP1, IDP2, UnionDP
+from repro.heuristics import GOO, IDP1, IDP2, UnionDP
 from repro.optimizers import MPDP
 from repro.workloads import (
     chain_query,
@@ -60,17 +60,30 @@ WORKLOAD_FACTORIES = {
     "uniondp_musicbrainz_n50_seed1":
         lambda: scaled_musicbrainz_query(50, seed=1),
     "idp1_musicbrainz_n40_seed1": lambda: scaled_musicbrainz_query(40, seed=1),
+    # GOO, the planner's last rung and IDP2's seed, on the four shapes
+    # whose candidate estimates differ most: a hub whose neighbourhood
+    # spans the whole query, a snowflake, the MusicBrainz random walk and
+    # a clique (every pair an edge).
+    "goo_star_n130_seed1": lambda: star_query(130, seed=1),
+    "goo_snowflake_n200_seed1": lambda: snowflake_query(200, seed=1),
+    "goo_musicbrainz_n200_seed1":
+        lambda: scaled_musicbrainz_query(200, seed=1),
+    "goo_clique_n40_seed1": lambda: clique_query(40, seed=1),
 }
 
 #: Per-workload optimizer override (default: exact MPDP on the scalar
 #: reference backend).  The wide snowflake would be intractable for exact
-#: DP, so it pins the scalar IDP2 ladder instead; the ``uniondp_`` and
-#: ``idp1_`` workloads pin those drivers.
+#: DP, so it pins the scalar IDP2 ladder instead; the ``uniondp_``,
+#: ``idp1_`` and ``goo_`` workloads pin those drivers.
 DRIVER_FACTORIES = {
     "wide_snowflake_n100_seed1": lambda: IDP2(k=8, backend="scalar"),
     "uniondp_snowflake_n100_seed1": lambda: UnionDP(k=8, backend="scalar"),
     "uniondp_musicbrainz_n50_seed1": lambda: UnionDP(k=8, backend="scalar"),
     "idp1_musicbrainz_n40_seed1": lambda: IDP1(k=6, backend="scalar"),
+    "goo_star_n130_seed1": GOO,
+    "goo_snowflake_n200_seed1": GOO,
+    "goo_musicbrainz_n200_seed1": GOO,
+    "goo_clique_n40_seed1": GOO,
 }
 
 
