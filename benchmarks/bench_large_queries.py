@@ -17,6 +17,13 @@ end-to-end on the kernel execution layer:
 * **kernelized vs scalar-factory** — the acceptance measurement: IDP2 with
   the kernel backend vs IDP2 on the seed-era scalar path at n = 200 must be
   >= 3x (single CPU, vectorized backend);
+* **GOO candidate batches** — GOO with each merge's candidates estimated in
+  one batch vs its scalar loop, same plan asserted, on star, snowflake and
+  scaled MusicBrainz at n = 200/500/1000 and on clique-200, with per-size
+  speed-up floors at paper scale; plus the ``auto`` gate sweep behind
+  reusing ``AUTO_VECTORIZE_MIN_RELATIONS`` as GOO's batch floor (the
+  default planner on the heuristic cells of e2ebench's ``cold`` workload,
+  one run per floor value);
 * **backend bit-identity** — every benchmarked workload is planned by every
   driver on scalar / vectorized / multicore and the plans must match
   bit-for-bit before any timing is reported, at n = 50 and — because the
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -51,10 +59,13 @@ from typing import Callable, Dict, List, Optional
 import pytest
 
 from repro.cost.cout import CoutCostModel
+from repro.exec import AUTO_VECTORIZE_MIN_RELATIONS
 from repro.heuristics import GOO, IDP2, AdaptiveLinDP, UnionDP
+from repro.planner import AdaptivePlanner
 from repro.workloads import (
     chain_query,
     clique_query,
+    cycle_query,
     scaled_musicbrainz_query,
     snowflake_query,
     star_query,
@@ -92,8 +103,8 @@ WORKLOADS: Dict[str, Callable[[int], object]] = {
 #: some paper-scale combinations non-interactive (clique IDP2's dense
 #: fragments, star's O(n) UnionDP contraction rounds) — ceilings are
 #: recorded in the JSON so the gap is visible, not silent.
-IDP2_MAX = {"chain": 1000, "star": 200, "snowflake": 500, "clique": 100,
-            "musicbrainz": 200}
+IDP2_MAX = {"chain": 1000, "star": 500, "snowflake": 500, "clique": 100,
+            "musicbrainz": 500}
 UNIONDP_MAX = {"chain": 1000, "star": 500, "snowflake": 500, "clique": 200,
                "musicbrainz": 1000}
 #: LinDP's ceiling is the planner's lindp_threshold (the paper's 300).
@@ -101,6 +112,31 @@ LINDP_MAX = 300
 #: Clique sizes run with a smaller fragment k (dense fragments), and the
 #: very large sizes shrink k the way the paper's time budget would.
 CLIQUE_SIZES = (50, 100, 200)
+
+
+#: GOO's batched candidate estimates vs its scalar loop: the paper's sizes
+#: on the sparse shapes, and the densest graph the ladder sweeps.  The
+#: floors are the speed-ups required at paper scale.
+GOO_BACKEND_CASES = tuple(
+    (workload, n) for workload in ("star", "snowflake", "musicbrainz")
+    for n in (200, 500, 1000)) + (("clique", 200),)
+GOO_SPEEDUP_FLOORS = {("musicbrainz", 1000): 10.0, ("snowflake", 1000): 5.0,
+                      ("star", 1000): 5.0, ("clique", 200): 4.0}
+
+#: The ``auto`` gate sweep: the heuristic cells of e2ebench's ``cold``
+#: workload (IDP2 up to 100 relations, LinDP beyond), planned by the
+#: default planner with GOO's batch floor set to each value (the other
+#: drivers keep theirs); ``inf`` never batches, which is GOO's scalar loop.
+GATE_SWEEP_CELLS = (("cycle", 100), ("star", 25), ("star", 40), ("star", 101),
+                    ("snowflake", 40), ("snowflake", 60), ("snowflake", 101),
+                    ("snowflake", 130), ("musicbrainz", 25),
+                    ("musicbrainz", 40), ("musicbrainz", 101), ("chain", 80))
+GATE_SWEEP_FLOORS = (1, 4, 8, 16, 32, math.inf)
+GATE_SWEEP_SEEDS = (1, 2, 3)
+GATE_SWEEP_GENERATORS = {"cycle": cycle_query, "star": star_query,
+                         "snowflake": snowflake_query,
+                         "musicbrainz": scaled_musicbrainz_query,
+                         "chain": chain_query}
 
 
 def fragment_k(workload: str, n: int) -> int:
@@ -115,7 +151,7 @@ def make_driver(name: str, workload: str, n: int, backend: str,
                 workers: Optional[int] = None):
     k = fragment_k(workload, n)
     if name == "GOO":
-        return GOO()  # scalar-only: no kernel loop for a backend to change
+        return GOO(backend=backend, workers=workers)
     if name == "LinDP":
         return AdaptiveLinDP(backend=backend, workers=workers)
     if name == "IDP2":
@@ -257,6 +293,72 @@ def speedup_section(quick: bool, verbose: bool) -> List[dict]:
     return rows
 
 
+def goo_backend_section(quick: bool, verbose: bool) -> List[dict]:
+    """Scalar vs batched GOO, same plan asserted, per (workload, n)."""
+    cases = [(workload, n) for workload, n in GOO_BACKEND_CASES
+             if not quick or (n <= 200 and workload != "clique")]
+    rows = []
+    for workload, n in cases:
+        scalar_s, scalar_result = _run_once("GOO", workload, n, "scalar")
+        batched_s, batched_result = _run_once("GOO", workload, n,
+                                              "vectorized")
+        if (batched_result.cost != scalar_result.cost
+                or batched_result.plan != scalar_result.plan):
+            raise AssertionError(
+                f"{workload} n={n}: batched GOO plan differs from the "
+                "scalar loop — bit-identity contract broken")
+        row = {"workload": workload, "n": n,
+               "scalar_seconds": scalar_s,
+               "vectorized_seconds": batched_s,
+               "speedup": scalar_s / batched_s,
+               "required_speedup": GOO_SPEEDUP_FLOORS.get((workload, n))}
+        rows.append(row)
+        if verbose:
+            print(f"GOO {workload:>12s} n={n:>4d}: scalar {scalar_s:7.2f}s "
+                  f"vs batched {batched_s:6.2f}s = {row['speedup']:.1f}x")
+    return rows
+
+
+def goo_gate_sweep(verbose: bool) -> dict:
+    """Default-planner time on the ``cold`` heuristic cells per GOO floor.
+
+    Floors alternate within each seed's round, so drift spreads evenly;
+    every floor must serve the same plans.
+    """
+    seconds = {floor: 0.0 for floor in GATE_SWEEP_FLOORS}
+    costs: Dict[tuple, float] = {}
+    try:
+        for seed in GATE_SWEEP_SEEDS:
+            for workload, n in GATE_SWEEP_CELLS:
+                for floor in GATE_SWEEP_FLOORS:
+                    # The planner runs on ``auto``: batch from ``floor`` on.
+                    GOO._use_heuristic_kernels = \
+                        lambda self, size, floor=floor: size >= floor
+                    query = GATE_SWEEP_GENERATORS[workload](n, seed=seed)
+                    planner = AdaptivePlanner(enable_cache=False)
+                    start = time.perf_counter()
+                    outcome = planner.plan(query)
+                    seconds[floor] += time.perf_counter() - start
+                    key = (workload, n, seed)
+                    if costs.setdefault(key, outcome.cost) != outcome.cost:
+                        raise AssertionError(
+                            f"{workload}-{n} seed {seed}: GOO floor {floor} "
+                            "changed the served plan")
+    finally:
+        del GOO._use_heuristic_kernels  # back to the mixin's gate
+    rows = [{"floor": "scalar" if floor == math.inf else floor,
+             "seconds": seconds[floor]} for floor in GATE_SWEEP_FLOORS]
+    if verbose:
+        print("GOO auto floor sweep: " + "  ".join(
+            f"{row['floor']}={row['seconds']:.2f}s" for row in rows))
+    return {"cells": [f"{workload}-{n}" for workload, n in GATE_SWEEP_CELLS],
+            "seeds": list(GATE_SWEEP_SEEDS),
+            "planner": "AdaptivePlanner(enable_cache=False), backend auto, "
+                       "PostgreSQL cost model",
+            "adopted_floor": AUTO_VECTORIZE_MIN_RELATIONS,
+            "sweep": rows}
+
+
 def run_sweep(quick: bool = False, verbose: bool = True) -> dict:
     sizes = QUICK_SIZES if quick else FULL_SIZES
     report = {
@@ -275,6 +377,8 @@ def run_sweep(quick: bool = False, verbose: bool = True) -> dict:
         "backend_identity": backend_identity_section(verbose),
         "ladder": ladder_section(sizes, verbose, quick),
         "idp2_kernelized_vs_scalar": speedup_section(quick, verbose),
+        "goo_batched_vs_scalar": goo_backend_section(quick, verbose),
+        "goo_auto_floor_sweep": None if quick else goo_gate_sweep(verbose),
     }
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     if verbose:
@@ -294,6 +398,10 @@ def enforce_acceptance(report: dict) -> None:
     # Acceptance: kernelized IDP2 >= 3x over the scalar path at n = 200.
     for row in report["idp2_kernelized_vs_scalar"]:
         assert row["speedup"] >= SPEEDUP_ACCEPTANCE, row
+    # Batched GOO meets its paper-scale floors.
+    for row in report["goo_batched_vs_scalar"]:
+        if row["required_speedup"] is not None:
+            assert row["speedup"] >= row["required_speedup"], row
 
 
 # ------------------------------------------------------------------ #
@@ -319,6 +427,22 @@ def test_wide_perf_smoke():
         f"native wide kernels only {speedup:.2f}x over scalar at n=100 "
         f"(floor {SPEEDUP_ACCEPTANCE}x): scalar {scalar_s:.2f}s vs "
         f"native {native_s:.2f}s")
+
+
+@pytest.mark.large_query
+def test_goo_perf_smoke():
+    """CI guard on GOO's candidate batches: scaled MusicBrainz-200 under
+    C_out, batched vs scalar, same plan and at least 3x faster."""
+    scalar_s, scalar_result = _run_once("GOO", "musicbrainz", 200, "scalar")
+    batched_s, batched_result = _run_once("GOO", "musicbrainz", 200,
+                                          "vectorized")
+    assert batched_result.cost == scalar_result.cost
+    assert batched_result.plan == scalar_result.plan
+    speedup = scalar_s / batched_s
+    assert speedup >= SPEEDUP_ACCEPTANCE, (
+        f"batched GOO only {speedup:.2f}x over its scalar loop on "
+        f"MusicBrainz-200 (floor {SPEEDUP_ACCEPTANCE}x): scalar "
+        f"{scalar_s:.2f}s vs batched {batched_s:.2f}s")
 
 
 @pytest.mark.large_query

@@ -8,13 +8,16 @@ cost when updating the memo table (``CurrPlan < BestPlan(S)`` in the paper's
 pseudo-code).
 
 Plans are immutable value objects: the memo table stores them by relation-set
-bitmap and subplans are shared freely between alternative parents.
+bitmap and subplans are shared freely between alternative parents.  Every
+walk over a tree (equality, hashing, validation, rendering, shape queries)
+is iterative, so a left-deep plan of any number of joins stays within
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import bitmapset as bms
 
@@ -75,15 +78,25 @@ class Plan:
 
     def depth(self) -> int:
         """Height of the tree (a leaf has depth 1)."""
-        if self.is_leaf:
-            return 1
-        return 1 + max(self.left.depth(), self.right.depth())
+        height = 0
+        stack = [(self, 1)]
+        while stack:
+            node, level = stack.pop()
+            if node.is_leaf:
+                height = max(height, level)
+            else:
+                stack.append((node.right, level + 1))
+                stack.append((node.left, level + 1))
+        return height
 
     def is_left_deep(self) -> bool:
         """True if every join's right child is a base relation."""
-        if self.is_leaf:
-            return True
-        return self.right.is_leaf and self.left.is_left_deep()
+        node = self
+        while not node.is_leaf:
+            if not node.right.is_leaf:
+                return False
+            node = node.left
+        return True
 
     def is_bushy(self) -> bool:
         """True if some join has two composite children."""
@@ -91,9 +104,12 @@ class Plan:
 
     def is_right_deep(self) -> bool:
         """True if every join's left child is a base relation."""
-        if self.is_leaf:
-            return True
-        return self.left.is_leaf and self.right.is_right_deep()
+        node = self
+        while not node.is_leaf:
+            if not node.left.is_leaf:
+                return False
+            node = node.right
+        return True
 
     # ------------------------------------------------------------------ #
     # Traversal
@@ -117,11 +133,9 @@ class Plan:
 
     def iter_leaves(self) -> Iterator["Plan"]:
         """Yield every scan node, left to right."""
-        if self.is_leaf:
-            yield self
-            return
-        yield from self.left.iter_leaves()
-        yield from self.right.iter_leaves()
+        for node in self.iter_nodes():
+            if node.is_leaf:
+                yield node
 
     def leaf_order(self) -> List[int]:
         """Base-relation indices in left-to-right leaf order."""
@@ -142,38 +156,48 @@ class Plan:
 
         Raises :class:`ValueError` when a join's children overlap, a node's
         relation bitmap does not equal the union of its children's, or a leaf
-        is missing its relation index.
+        is missing its relation index.  Nodes are checked in pre-order, so
+        the first offending node reports.
         """
-        if self.is_leaf:
-            if self.relation_index is None:
-                raise ValueError("leaf plan without relation_index")
-            if self.relations != bms.bit(self.relation_index):
-                raise ValueError("leaf plan relations bitmap mismatch")
-            return
-        if self.left is None or self.right is None:
-            raise ValueError("join plan must have two children")
-        if self.left.relations & self.right.relations:
-            raise ValueError("join children overlap")
-        if self.relations != (self.left.relations | self.right.relations):
-            raise ValueError("join relations bitmap is not the union of children")
-        if self.method not in JoinMethod.ALL_JOINS:
-            raise ValueError(f"unknown join method {self.method!r}")
-        self.left.validate()
-        self.right.validate()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            left, right = node.left, node.right
+            if left is None and right is None:
+                if node.relation_index is None:
+                    raise ValueError("leaf plan without relation_index")
+                if node.relations != bms.bit(node.relation_index):
+                    raise ValueError("leaf plan relations bitmap mismatch")
+                continue
+            if left is None or right is None:
+                raise ValueError("join plan must have two children")
+            if left.relations & right.relations:
+                raise ValueError("join children overlap")
+            if node.relations != (left.relations | right.relations):
+                raise ValueError("join relations bitmap is not the union of children")
+            if node.method not in JoinMethod.ALL_JOINS:
+                raise ValueError(f"unknown join method {node.method!r}")
+            stack.append(right)
+            stack.append(left)
 
     def to_string(self, relation_names: Optional[List[str]] = None, indent: int = 0) -> str:
         """Readable multi-line rendering of the plan tree."""
-        pad = "  " * indent
-        if self.is_leaf:
-            name = (
-                relation_names[self.relation_index]
-                if relation_names is not None
-                else f"R{self.relation_index}"
-            )
-            return f"{pad}{self.method}({name}) rows={self.rows:.0f} cost={self.cost:.1f}"
-        lines = [f"{pad}{self.method} rows={self.rows:.0f} cost={self.cost:.1f}"]
-        lines.append(self.left.to_string(relation_names, indent + 1))
-        lines.append(self.right.to_string(relation_names, indent + 1))
+        lines: List[str] = []
+        stack = [(self, indent)]
+        while stack:
+            node, level = stack.pop()
+            label = node.method
+            if node.is_leaf:
+                name = (
+                    relation_names[node.relation_index]
+                    if relation_names is not None
+                    else f"R{node.relation_index}"
+                )
+                label = f"{node.method}({name})"
+            else:
+                stack.append((node.right, level + 1))
+                stack.append((node.left, level + 1))
+            lines.append(f"{'  ' * level}{label} rows={node.rows:.0f} cost={node.cost:.1f}")
         return "\n".join(lines)
 
     def structure(self) -> Tuple:
@@ -182,9 +206,42 @@ class Plan:
         Useful in tests for comparing plan *shapes* across optimizers that
         should agree on the optimal join order.
         """
-        if self.is_leaf:
-            return (self.relation_index,)
-        return (self.left.structure(), self.right.structure())
+        encoded: Dict[int, Tuple] = {}
+        for node in reversed(list(self.iter_nodes())):  # children first
+            encoded[id(node)] = (
+                (node.relation_index,) if node.is_leaf
+                else (encoded.pop(id(node.left)), encoded.pop(id(node.right))))
+        return encoded[id(self)]
+
+    # ------------------------------------------------------------------ #
+    # Value semantics (the dataclass-generated methods recurse per node)
+    # ------------------------------------------------------------------ #
+    def _fields(self) -> Tuple:
+        return (self.relations, self.rows, self.cost, self.method,
+                self.relation_index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Plan) or other.__class__ is not self.__class__:
+            return NotImplemented
+        stack: List[Tuple[Optional[Plan], Optional[Plan]]] = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if mine is theirs:
+                continue
+            if (mine is None or theirs is None
+                    or mine.__class__ is not theirs.__class__
+                    or mine._fields() != theirs._fields()):
+                return False
+            stack.append((mine.right, theirs.right))
+            stack.append((mine.left, theirs.left))
+        return True
+
+    def __hash__(self) -> int:
+        hashes: Dict[int, int] = {}
+        for node in reversed(list(self.iter_nodes())):  # children first
+            hashes[id(node)] = hash(node._fields() + (
+                hashes.get(id(node.left)), hashes.get(id(node.right))))
+        return hashes[id(self)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

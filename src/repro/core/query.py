@@ -19,7 +19,7 @@ estimator, so costs remain comparable across recursion levels.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,15 +222,17 @@ class QueryInfo:
             return estimates[inverse]
         local_roots = (self.vertex_masks if isinstance(spec, int)
                        else [self.vertex_masks[vertex] for vertex in spec])
-        values, _, _, selectors = estimator.fold_schedule(local_roots)
-        # A term whose bits the batch's union lacks is never selected;
+        values, near, far = estimator.fold_schedule(local_roots)
+        # A set holds a term when it holds the term's two endpoint bits.  A
+        # term whose bits the batch's union lacks is never selected;
         # dropping it keeps the survivors' order.
-        union = np.bitwise_or.reduce(distinct, axis=0)
-        keep = wb.contains(union[None, :], selectors)[0]
-        values, selectors = values[keep], selectors[keep]
+        bits = wb.bit_columns(distinct)
+        union = bits.any(axis=0)
+        keep = union[near] & union[far]
+        values, near, far = values[keep], near[keep], far[keep]
         estimates = estimator.fold_rows(
             values,
-            lambda start, stop: wb.contains(distinct[start:stop], selectors),
+            lambda start, stop: bits[start:stop, near] & bits[start:stop, far],
             len(distinct))
         return estimates[inverse]
 
@@ -271,16 +273,18 @@ class QueryInfo:
         The plan must be expressed over this query's vertex space (leaf
         ``relation_index`` values are vertex indices).
         """
-        if plan.is_leaf:
-            return self.leaf_plan(plan.relation_index)
-        left = self.recost(plan.left)
-        right = self.recost(plan.right)
-        left_mask = self._vertex_mask_of_plan(plan.left)
-        right_mask = self._vertex_mask_of_plan(plan.right)
-        return self.join(left_mask, right_mask, left, right)
-
-    def _vertex_mask_of_plan(self, plan: Plan) -> int:
-        return bms.from_indices(leaf.relation_index for leaf in plan.iter_leaves())
+        # Children before parents; each entry is (vertex mask, rebuilt plan).
+        rebuilt: Dict[int, Tuple[int, Plan]] = {}
+        for node in reversed(list(plan.iter_nodes())):
+            if node.is_leaf:
+                rebuilt[id(node)] = (bms.bit(node.relation_index),
+                                     self.leaf_plan(node.relation_index))
+                continue
+            left_mask, left = rebuilt.pop(id(node.left))
+            right_mask, right = rebuilt.pop(id(node.right))
+            rebuilt[id(node)] = (left_mask | right_mask,
+                                 self.join(left_mask, right_mask, left, right))
+        return rebuilt[id(plan)][1]
 
     # ------------------------------------------------------------------ #
     # Edge weights (used by UnionDP and the workload tooling)

@@ -56,7 +56,7 @@ __all__ = [
     "unpack_one",
     "sort_keys",
     "any_bits",
-    "contains",
+    "bit_columns",
     "popcount_rows",
     "bit_positions",
     "one_hot_words",
@@ -177,16 +177,12 @@ def _remap_runs(positions):
 
 
 def _pack_identity(masks: Sequence[int], words: int):
-    m = len(masks)
-    column = np.empty((m, words), dtype=np.uint64)
-    column[:, 0] = np.fromiter((mask & WORD_MASK for mask in masks),
-                               dtype=np.uint64, count=m)
-    for word in range(1, words):
-        shift = WORD_BITS * word
-        column[:, word] = np.fromiter(
-            ((mask >> shift) & WORD_MASK for mask in masks),
-            dtype=np.uint64, count=m)
-    return column
+    # One little-endian byte string per mask: its words in order, so the
+    # buffer reads back as the (m, words) uint64 matrix.
+    width = 8 * words
+    buffer = b"".join([mask.to_bytes(width, "little") for mask in masks])
+    return np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words) \
+        .astype(np.uint64)
 
 
 def pack(masks: Sequence[int], spec):
@@ -309,18 +305,16 @@ def any_bits(stack):
 
 
 @kernel
-def contains(column, masks):
-    """``(m, s)`` bool: whether row ``i`` of ``column`` holds every bit of
-    row ``j`` of ``masks`` (an ``(s, words)`` column in the same layout).
+def bit_columns(column):
+    """``(m, 64 * words)`` bool: column ``b`` holds bit ``b`` of every row.
 
-    The lane-wise form of ``mask & row == mask`` for every pair at once.
+    The unpacked form of a packed column (numpy's ``unpackbits`` over the
+    little-endian byte view): membership of any bit position in every set
+    is one column gather, which is how the cardinality fold selects each
+    term by its two endpoint bits.
     """
-    held = np.ones((len(column), len(masks)), dtype=bool)
-    for word in range(masks.shape[1]):  # loop: words — one subset test per bitset word
-        mask_word = masks[:, word]
-        if mask_word.any():
-            held &= (column[:, word, None] & mask_word) == mask_word
-    return held
+    little = np.ascontiguousarray(column, dtype="<u8").view(np.uint8)
+    return np.unpackbits(little, axis=1, bitorder="little").view(bool)
 
 
 @kernel

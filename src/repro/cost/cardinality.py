@@ -152,18 +152,15 @@ class CardinalityEstimator:
         ``i`` stands for: ``1 << i`` in a root query's identity layout,
         ``1 << spec[i]`` under a bit-remap spec, a composite vertex's
         relations in a contracted query, or the vertex at position ``i`` of
-        LinDP's linear order.  Returns ``(values, near, far, selectors)``
-        with one term per relation of the layout's span (ascending), then
-        one per edge inside the span (graph order) — the order in which
+        LinDP's linear order.  Returns ``(values, near, far)`` with one
+        term per relation of the layout's span (ascending), then one per
+        edge inside the span (graph order) — the order in which
         :meth:`rows` adds them.  ``near <= far`` (int64) are the local bits
         holding the term's relations (equal for a relation and for an edge
-        inside one composite), and ``selectors`` packs the same bits as a
-        ``(terms, words)`` column (:mod:`repro.core.widebitmap`); a local
-        set's estimate adds the terms whose bits it holds.  Cached per
-        layout and dropped by :meth:`invalidate`.
+        inside one composite); a local set's estimate adds the terms whose
+        two bits it holds.  Cached per layout and dropped by
+        :meth:`invalidate`.
         """
-        from ..core import widebitmap as wb
-
         key = tuple(local_roots)
         schedule = self._schedules.get(key)
         if schedule is not None:
@@ -189,10 +186,7 @@ class CardinalityEstimator:
             far.append(ends[1])
         schedule = (np.array(values, dtype=np.float64),
                     np.array(near, dtype=np.int64),
-                    np.array(far, dtype=np.int64),
-                    wb.pack([(1 << low) | (1 << high)
-                             for low, high in zip(near, far)],
-                            wb.words_for(len(key))))
+                    np.array(far, dtype=np.int64))
         if len(self._schedules) >= 256:
             self._schedules.clear()
         self._schedules[key] = schedule

@@ -25,9 +25,12 @@ that scale, and this module gives two of them the same treatment:
   passes over endpoint-root columns instead of a Python rescan of every
   edge, and root columns are rewritten in bulk after each union.
 
-The greedy candidate scans (GOO's heap, IDP1's seed edge, UnionDP's edge
-weights) stay scalar loops over ``query.rows``: each pair estimate is one
-O(1) lookup through the estimator's two-relation fast path.
+GOO batches each merge's candidate joins through
+:meth:`~repro.core.query.QueryInfo.rows_batch` in its own loop
+(:mod:`repro.heuristics.goo`).  The pair scans (GOO's initial heap, IDP1's
+seed edge, UnionDP's edge weights) stay scalar loops over ``query.rows``:
+each pair estimate is one O(1) lookup through the estimator's two-relation
+fast path.
 
 Every kernel is bit-identical to the scalar loop it replaces — same plans,
 same costs, same counters — so the heuristics can expose the standard
@@ -121,7 +124,7 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
     estimator = query.root.cardinality
     fold_ok = not estimator_overrides_rows(estimator)
     if fold_ok:
-        values, near, far, _ = estimator.fold_schedule(
+        values, near, far = estimator.fold_schedule(
             [query.vertex_masks[vertex] for vertex in order])
 
     def interval_rows(starts, length):

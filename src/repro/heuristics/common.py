@@ -7,7 +7,8 @@ step.  :class:`HeuristicBackendMixin` is the standard
 ``backend=``/``workers=`` knob (same names, same validation, same
 "backends only move time" bit-identity guarantee as the exact optimizers),
 threaded by each driver into its inner exact optimizer and into its own
-batched loops (:mod:`repro.exec.heuristic_kernels`).
+batched loops (:mod:`repro.exec.heuristic_kernels`, and GOO's candidate
+batches, which IDP2's seed inherits).
 
 Every fragment runs on that inner optimizer as
 ``exact.optimize(query, subset=fragment)``: the kernels carry multi-word
@@ -57,8 +58,9 @@ class HeuristicBackendMixin:
 
         ``batch_size`` is the number of items the batched loop would
         process — linear-order positions for LinearizedDP's merge,
-        candidate edges for UnionDP's partition scan.  ``scalar`` keeps the
-        reference loops; explicit ``vectorized`` / ``multicore`` requests
+        candidate edges for UnionDP's partition scan, one merge's candidate
+        joins for GOO.  ``scalar`` keeps the reference loops; explicit
+        ``vectorized`` / ``multicore`` requests
         always batch (the heuristic kernels are in-process either way — the
         multicore workers apply to the inner exact DP levels, not the
         driver's merge loops); ``auto`` additionally requires the batch to

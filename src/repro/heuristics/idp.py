@@ -155,7 +155,8 @@ class IDP2(HeuristicBackendMixin, JoinOrderOptimizer):
         #: The shared inner exact optimizer (one instance for every fragment
         #: of every iteration).
         self.exact_optimizer = exact_factory(backend=backend, workers=workers)
-        self.initial_heuristic = initial_heuristic or GOO()
+        self.initial_heuristic = initial_heuristic or GOO(backend=backend,
+                                                          workers=workers)
         self.max_iterations = max_iterations
         self.name = f"IDP2-{self.exact_optimizer.name} ({k})"
 

@@ -1,5 +1,7 @@
 """Tests for Union-Find, plans, the memo table and the counters."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +129,80 @@ class TestPlan:
         rendered = plan.to_string(["lineitem", "orders"])
         assert "lineitem" in rendered and "orders" in rendered
         assert "hashjoin" in rendered
+
+
+class TestDeepPlans:
+    """Every tree walk handles 1000-join plans (GOO's depth on the paper's
+    1000-relation snowflake and star) at the default recursion limit."""
+
+    JOINS = 1000
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(previous)
+
+    def make_deep(self, left_deep=True, cost=1.0):
+        plan = scan_plan(0, 10.0, cost)
+        for relation in range(1, self.JOINS + 1):
+            leaf = scan_plan(relation, 10.0, cost)
+            pair = (plan, leaf) if left_deep else (leaf, plan)
+            plan = join_plan(*pair, 10.0, float(relation),
+                             JoinMethod.HASH_JOIN)
+        return plan
+
+    def test_shape_queries_and_traversals(self):
+        plan = self.make_deep()
+        assert plan.depth() == self.JOINS + 1
+        assert plan.is_left_deep()
+        assert not plan.is_right_deep() and not plan.is_bushy()
+        assert plan.leaf_order() == list(range(self.JOINS + 1))
+        plan.validate()
+        right_deep = self.make_deep(left_deep=False)
+        assert right_deep.is_right_deep() and not right_deep.is_left_deep()
+        assert right_deep.leaf_order()[0] == self.JOINS
+
+    def test_equality_and_hash(self):
+        plan, twin = self.make_deep(), self.make_deep()
+        assert plan == twin and hash(plan) == hash(twin)
+        assert plan != self.make_deep(cost=2.0)
+        assert plan != self.make_deep(left_deep=False)
+        assert len({plan, twin}) == 1
+
+    def test_structure_and_rendering(self):
+        plan = self.make_deep()
+        encoded = plan.structure()
+        for relation in range(self.JOINS, 0, -1):
+            assert encoded[1] == (relation,)
+            encoded = encoded[0]
+        assert encoded == (0,)
+        lines = plan.to_string().split("\n")
+        assert len(lines) == 2 * self.JOINS + 1
+        assert lines[self.JOINS] == "  " * self.JOINS + "seqscan(R0) rows=10 cost=1.0"
+        assert lines[-1] == "  seqscan(R1000) rows=10 cost=1.0"
+
+    def test_validate_reports_a_deep_fault(self):
+        plan = self.make_deep()
+        node = plan
+        for _ in range(self.JOINS - 1):
+            node = node.left
+        object.__setattr__(node, "relations", 0b1)
+        with pytest.raises(ValueError, match="not the union"):
+            plan.validate()
+
+    def test_recost_of_a_deep_plan(self):
+        from repro.workloads import chain_query
+
+        query = chain_query(self.JOINS + 1, seed=1)
+        plan, mask = query.leaf_plan(0), bms.bit(0)
+        for relation in range(1, self.JOINS + 1):
+            plan = query.join(mask, bms.bit(relation), plan,
+                              query.leaf_plan(relation))
+            mask |= bms.bit(relation)
+        assert query.recost(plan) == plan
+        assert query.plan_cost(plan) == plan.cost
 
 
 class TestMemoTable:

@@ -264,13 +264,13 @@ class TestBackendResolution:
         # The exact kernel-pipeline optimizers AND the kernelized heuristic
         # ladder all advertise the backend knob.
         for name in ("MPDP", "MPDP:Tree", "DPsub", "DPsize", "PDP",
-                     "IDP1", "IDP2", "UnionDP", "LinDP", "LinearizedDP"):
+                     "GOO", "IDP1", "IDP2", "UnionDP", "LinDP", "LinearizedDP"):
             capabilities = DEFAULT_REGISTRY.capabilities(name)
             assert capabilities.supports_backend("vectorized"), name
             assert capabilities.supports_backend("scalar")
             assert capabilities.supports_backend("auto")
         # Heuristics with no kernelized loops stay scalar-only.
-        for name in ("GOO", "IKKBZ", "GE-QO"):
+        for name in ("IKKBZ", "GE-QO"):
             capabilities = DEFAULT_REGISTRY.capabilities(name)
             assert not capabilities.supports_backend("vectorized"), name
             assert capabilities.supports_backend("scalar")

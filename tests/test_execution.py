@@ -329,7 +329,8 @@ class TestPerturbedPlanningBitIdentity:
     """Scalar and vectorized backends must see identical perturbed estimates.
 
     The kernel fold paths (rows_batch's spec fold, the contracted-query
-    fold, LinDP's interval fold) reconstruct estimates from base statistics;
+    fold, GOO's candidate batches, LinDP's interval fold) reconstruct
+    estimates from base statistics;
     estimator_overrides_rows() routes overriding estimators through rows()
     instead, so planning under perturbation stays backend-bit-identical.
     """
@@ -350,6 +351,14 @@ class TestPerturbedPlanningBitIdentity:
         vectorized = IDP2(k=5, backend="vectorized").optimize(planned)
         assert scalar.cost == vectorized.cost
         assert scalar.plan.structure() == vectorized.plan.structure()
+
+    def test_goo_candidate_batches(self):
+        query = star_query(30, seed=6)
+        planned = perturbed_query(query, q=4.0, seed=5)
+        scalar = GOO(backend="scalar").optimize(planned)
+        vectorized = GOO(backend="vectorized").optimize(planned)
+        assert scalar.cost == vectorized.cost
+        assert scalar.plan == vectorized.plan
 
     def test_lindp_interval_fold(self):
         query = chain_query(20, seed=4)

@@ -183,11 +183,11 @@ def test_differential_case(index):
 # --------------------------------------------------------------------- #
 N_HEURISTIC_CASES = 16
 
-#: The kernelized ladder drivers (ISSUE 5): every one must produce
-#: bit-identical plans across scalar / vectorized / multicore.  GOO is
-#: scalar-only (no kernel loop), so it has no backends to compare; it runs
-#: here as IDP2's seed and in the main and execution bands.
+#: The kernelized ladder drivers: every one must produce bit-identical
+#: plans across scalar / vectorized / multicore.
 BAND_FACTORIES = (
+    ("GOO", lambda backend, workers: DEFAULT_REGISTRY.create(
+        "GOO", backend=backend, workers=workers)),
     ("IDP2", lambda backend, workers: DEFAULT_REGISTRY.create(
         "IDP2", k=6, backend=backend, workers=workers)),
     ("UnionDP", lambda backend, workers: DEFAULT_REGISTRY.create(
@@ -350,8 +350,8 @@ EXEC_RUNGS = (
         "IDP2", k=4, backend=backend)),
     ("LinDP", None, lambda backend: DEFAULT_REGISTRY.create(
         "LinDP", exact_threshold=0, backend=backend)),
-    # Scalar-only: both planning calls build the same GOO.
-    ("GOO", None, lambda backend: DEFAULT_REGISTRY.create("GOO")),
+    ("GOO", None, lambda backend: DEFAULT_REGISTRY.create(
+        "GOO", backend=backend)),
 )
 
 

@@ -80,18 +80,19 @@ DRIVER_FACTORIES = {
     "uniondp_snowflake_n100_seed1": lambda: UnionDP(k=8, backend="scalar"),
     "uniondp_musicbrainz_n50_seed1": lambda: UnionDP(k=8, backend="scalar"),
     "idp1_musicbrainz_n40_seed1": lambda: IDP1(k=6, backend="scalar"),
-    "goo_star_n130_seed1": GOO,
-    "goo_snowflake_n200_seed1": GOO,
-    "goo_musicbrainz_n200_seed1": GOO,
-    "goo_clique_n40_seed1": GOO,
+    "goo_star_n130_seed1": lambda: GOO(backend="scalar"),
+    "goo_snowflake_n200_seed1": lambda: GOO(backend="scalar"),
+    "goo_musicbrainz_n200_seed1": lambda: GOO(backend="scalar"),
+    "goo_clique_n40_seed1": lambda: GOO(backend="scalar"),
 }
 
 
-def snapshot_of(workload: str) -> dict:
+def snapshot_of(workload: str, make_driver=None) -> dict:
     """The canonical snapshot record for one workload."""
     query = WORKLOAD_FACTORIES[workload]()
-    make_driver = DRIVER_FACTORIES.get(
-        workload, lambda: MPDP(backend="scalar"))
+    if make_driver is None:
+        make_driver = DRIVER_FACTORIES.get(
+            workload, lambda: MPDP(backend="scalar"))
     result = make_driver().optimize(query)
     result.plan.validate()
     return {
@@ -134,6 +135,14 @@ def test_golden_plan(workload, update_golden):
         f"{workload}: current optimizer output diverges from the pinned "
         f"golden plan; if the change is intentional, regenerate with "
         "--update-golden and review the diff")
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(w for w in WORKLOAD_FACTORIES if w.startswith("goo_")))
+def test_goo_golden_plan_batched(workload):
+    """GOO's batched candidate estimates reproduce the scalar goldens."""
+    pinned = json.loads(golden_path(workload).read_text())
+    assert snapshot_of(workload, lambda: GOO(backend="vectorized")) == pinned
 
 
 # --------------------------------------------------------------------- #

@@ -8,9 +8,9 @@ with targeted unit coverage:
   full-width graph against the same relations as a query of their own,
   and IDP's fragments passing through ``repro.heuristics.idp``'s
   ``optimize_fragment``;
-* the batched heuristic kernels — ``lindp_merge``'s interval DP and
-  ``greedy_union_partition``'s union rounds against their scalar
-  reference loops;
+* the batched heuristic kernels — ``lindp_merge``'s interval DP,
+  ``greedy_union_partition``'s union rounds and GOO's per-merge candidate
+  batches against their scalar reference loops;
 * the batched log-space cardinality fold (``QueryInfo.rows_batch`` on
   root, contracted, remapped and two-word layouts) — exact equality with
   the scalar estimator walk — and its accumulate kernel's addition order;
@@ -37,7 +37,9 @@ from repro.core.unionfind import UnionFind
 from repro.cost.cardinality import CardinalityEstimator
 from repro.cost.cout import CoutCostModel
 from repro.exec import greedy_union_partition, lindp_merge
-from repro.heuristics import IDP1, IDP2, AdaptiveLinDP, LinearizedDP, UnionDP
+from repro.exec import AUTO_VECTORIZE_MIN_RELATIONS
+from repro.heuristics import (GOO, IDP1, IDP2, AdaptiveLinDP, LinearizedDP,
+                              UnionDP)
 from repro.heuristics.idp import optimize_fragment
 from repro.heuristics.ikkbz import IKKBZ
 from repro.optimizers.mpdp import MPDP
@@ -225,6 +227,61 @@ class TestGreedyUnionPartitionKernel:
         uf = UnionFind(3)
         greedy_union_partition(uf, 5, [])
         assert uf.n_sets == 3
+
+
+class TestGOOCandidateBatches:
+    @pytest.mark.parametrize("make_query", [
+        lambda: star_query(60, seed=2),
+        lambda: snowflake_query(90, seed=3, cost_model=CoutCostModel()),
+        lambda: clique_query(20, seed=4),
+        lambda: scaled_musicbrainz_query(80, seed=5),
+        lambda: random_connected_query(70, extra_edge_probability=0.05,
+                                       seed=6),
+        lambda: _contract_grown(snowflake_query(70, seed=7), 10),
+    ])
+    def test_batches_match_scalar_loop(self, make_query):
+        scalar = GOO(backend="scalar").optimize(make_query())
+        batched = GOO(backend="vectorized").optimize(make_query())
+        assert_results_identical(scalar, batched)
+        assert [key for key, _ in batched.memo.items()] == \
+            [key for key, _ in scalar.memo.items()]
+
+    def test_auto_run_takes_both_branches(self, monkeypatch):
+        batch_sizes, scalar_masks = [], []
+        rows_batch, rows = QueryInfo.rows_batch, QueryInfo.rows
+
+        def spy_rows_batch(self, masks, spec=None):
+            batch_sizes.append(len(masks))
+            return rows_batch(self, masks, spec)
+
+        def spy_rows(self, mask):
+            scalar_masks.append(mask)
+            return rows(self, mask)
+
+        monkeypatch.setattr(QueryInfo, "rows_batch", spy_rows_batch)
+        monkeypatch.setattr(QueryInfo, "rows", spy_rows)
+        auto = GOO(backend="auto").optimize(star_query(30, seed=1))
+        monkeypatch.undo()
+        # The hub's group meets every remaining dimension: batched while
+        # at least the auto floor remain, scalar for the last few.
+        assert batch_sizes
+        assert min(batch_sizes) >= AUTO_VECTORIZE_MIN_RELATIONS
+        assert any(bms.popcount(mask) > 2 for mask in scalar_masks)
+
+        scalar = GOO(backend="scalar").optimize(star_query(30, seed=1))
+        assert_results_identical(scalar, auto)
+
+        def nodes(plan):
+            return [(node.relations, node.method, float(node.rows).hex(),
+                     float(node.cost).hex()) for node in plan.iter_nodes()]
+
+        assert nodes(auto.plan) == nodes(scalar.plan)
+
+    def test_backend_validation(self):
+        with pytest.raises(ValueError):
+            GOO(backend="warp-drive")
+        with pytest.raises(ValueError):
+            GOO(backend="multicore", workers=0)
 
 
 def _random_masks(n, count, seed):
@@ -448,6 +505,11 @@ class TestSharedInnerOptimizer:
         assert type(driver.exact_optimizer) is MPDP
         assert driver.exact_optimizer.backend == "multicore"
         assert driver.exact_optimizer.workers == 3
+
+    def test_backend_knob_reaches_idp2_seed(self):
+        seed = IDP2(k=5, backend="vectorized", workers=3).initial_heuristic
+        assert type(seed) is GOO
+        assert (seed.backend, seed.workers) == ("vectorized", 3)
 
     def test_adaptive_lindp_reuses_rung_instances(self):
         driver = AdaptiveLinDP(backend="vectorized")

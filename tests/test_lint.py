@@ -330,6 +330,20 @@ def make():
     assert "workers=" in findings[0].message
 
 
+def test_knob_threading_catches_backend_only_seed_heuristic(tmp_path):
+    # IDP2 builds its GOO seed from its own knob; dropping workers= there
+    # is flagged like any other constructor call.
+    source = """
+class Driver:
+    def __init__(self, seed=None, backend="scalar", workers=None):
+        self.workers = workers
+        self.seed = seed or GOO(backend=backend)
+"""
+    findings = lint_source(tmp_path, source)
+    assert rules_of(findings) == ["knob-threading"]
+    assert "`GOO(...)`" in findings[0].message
+
+
 def test_knob_threading_passes_forwarding_twin(tmp_path):
     source = """
 def build(backend="scalar", workers=None):

@@ -311,12 +311,11 @@ class TestResolutionAndKnobs:
 
     def test_capabilities_report_multicore(self):
         for name in ("MPDP", "MPDP:Tree", "DPsub", "DPsize", "PDP",
-                     "IDP2", "UnionDP", "LinDP"):
+                     "GOO", "IDP2", "UnionDP", "LinDP"):
             capabilities = DEFAULT_REGISTRY.capabilities(name)
             assert capabilities.supports_backend("multicore"), name
-        for name in ("GOO", "IKKBZ"):
-            assert not DEFAULT_REGISTRY.capabilities(name).supports_backend(
-                "multicore"), name
+        assert not DEFAULT_REGISTRY.capabilities("IKKBZ").supports_backend(
+            "multicore")
 
     def test_registry_builds_multicore_instances(self):
         optimizer = DEFAULT_REGISTRY.create("MPDP", backend="multicore",

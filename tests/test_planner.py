@@ -848,7 +848,7 @@ class TestHeuristicTierBackendThreading:
         planner._create_rung = original
         return outcome, dict(created)
 
-    @pytest.mark.parametrize("n,rung", [(30, "IDP2"), (150, "LinDP")])
+    @pytest.mark.parametrize("n,rung", [(30, "IDP2"), (150, "LinDP"), (310, "GOO")])
     def test_decision_records_effective_backend_at_every_tier(self, n, rung):
         planner = AdaptivePlanner(enable_cache=False, backend="vectorized")
         outcome, created = self._plan_capturing_rung(

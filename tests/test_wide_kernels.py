@@ -173,22 +173,17 @@ def test_pack_empty_batch():
 
 
 # --------------------------------------------------------------------- #
-# contains
+# bit columns
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("n_bits", (40, 64, 65, 190))
-def test_contains_matches_per_pair_reference(n_bits):
-    rows = random_masks(n_bits, 60, seed=21)
-    rng = random.Random(n_bits)
-    # Sparse masks (one or two bits, like fold terms) plus random ones.
-    masks = [(1 << rng.randrange(n_bits)) | (1 << rng.randrange(n_bits))
-             for _ in range(40)] + random_masks(n_bits, 5, seed=22) + [0]
-    for row in rows[:10]:
-        masks.append(row & random_masks(n_bits, 1, seed=row % 997)[0])
+def test_bit_columns_match_per_bit_reference(n_bits):
+    masks = random_masks(n_bits, 60, seed=21) + [0, (1 << n_bits) - 1]
     words = wb.words_for(n_bits)
-    held = wb.contains(wb.pack(rows, words), wb.pack(masks, words))
-    assert held.shape == (len(rows), len(masks))
-    assert held.tolist() == [[mask & row == mask for mask in masks]
-                             for row in rows]
+    bits = wb.bit_columns(wb.pack(masks, words))
+    assert bits.dtype == bool
+    assert bits.shape == (len(masks), 64 * words)
+    assert bits.tolist() == [[bool(mask >> b & 1) for b in range(64 * words)]
+                             for mask in masks]
 
 
 # --------------------------------------------------------------------- #
