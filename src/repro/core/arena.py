@@ -90,8 +90,9 @@ class PlanArena:
         """Store ``plan`` if it is the cheapest seen for ``key``.
 
         Mirrors :meth:`MemoTable.put` exactly (strict ``<``, so the first
-        plan to reach a cost is kept); the scalar fallback paths of the
-        vectorized backend and ``_init_leaves`` go through here.
+        plan to reach a cost is kept).  ``_init_leaves`` seeds the leaves
+        through here; the array backends never call it — they record whole
+        levels with :meth:`record_level`.
         """
         self.n_updates += 1
         slot = self._index.get(key)
@@ -179,8 +180,9 @@ class PlanArena:
 
         The returned lists are live views of the arena's storage, not
         copies.  Callers snapshot them (e.g. into numpy arrays) and must
-        not hold a snapshot across a mutation — the vectorized backend
-        rebuilds its snapshot at the start of every DP level.
+        not hold a snapshot across a mutation — the array backends'
+        snapshot builder copies the entries appended since its last refresh
+        at the start of every DP level.
         """
         return self._keys, self._cost, self._rows
 

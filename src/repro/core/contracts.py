@@ -7,9 +7,9 @@ holds the *runtime-visible* side of those markers so that source code can
 opt in without importing the analyzer.
 
 Only :func:`kernel` lives here today.  It is dependency-free on purpose:
-``repro.core.widebitmap`` must stay importable in scalar-only environments,
-and ``repro.exec`` modules must be able to mark their shard functions without
-creating an import cycle back into the analysis package.
+``repro.core`` and ``repro.exec`` modules must be able to mark their kernel
+functions without creating an import cycle back into the analysis
+package.
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ from .backend import (
     AUTO_MULTICORE_MIN_RELATIONS,
     AUTO_VECTORIZE_MIN_RELATIONS,
     BACKEND_NAMES,
+    BackendKnobMixin,
     KernelBackend,
     KernelOptimizerMixin,
     KernelState,
     ScalarBackend,
     iter_tree_edge_splits,
     resolve_backend,
+    validate_backend,
     validate_workers,
     words_for,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "AUTO_MULTICORE_MIN_RELATIONS",
     "AUTO_VECTORIZE_MIN_RELATIONS",
     "BACKEND_NAMES",
+    "BackendKnobMixin",
     "KernelBackend",
     "KernelOptimizerMixin",
     "KernelState",
@@ -35,6 +38,7 @@ __all__ = [
     "iter_tree_edge_splits",
     "lindp_merge",
     "resolve_backend",
+    "validate_backend",
     "validate_workers",
     "words_for",
 ]

@@ -68,10 +68,12 @@ from ..core.widebitmap import words_for
 __all__ = [
     "KernelState",
     "KernelBackend",
+    "BackendKnobMixin",
     "KernelOptimizerMixin",
     "ScalarBackend",
     "resolve_backend",
     "iter_tree_edge_splits",
+    "validate_backend",
     "validate_workers",
     "BACKEND_NAMES",
     "AUTO_VECTORIZE_MIN_RELATIONS",
@@ -108,13 +110,27 @@ def _available_cpus() -> int:
 def validate_workers(workers: Optional[int]) -> None:
     """Reject non-positive multicore worker counts (``None`` = auto is fine).
 
-    The single source of the policy — every entry point (optimizer
-    constructors, :func:`resolve_backend`, the planner, the multicore
-    module) funnels through here so they cannot diverge.
+    The single source of the policy — :func:`validate_backend` and the
+    multicore module funnel through here so they cannot diverge.
     """
     if workers is not None and workers < 1:
         raise ValueError(
             f"workers must be a positive integer, got {workers!r}")
+
+
+def validate_backend(backend: str, workers: Optional[int] = None) -> None:
+    """Reject an unknown backend name or a non-positive worker count.
+
+    The single check of the ``backend=``/``workers=`` knob — every entry
+    point (optimizer and heuristic constructors via
+    :class:`BackendKnobMixin`, :func:`resolve_backend`, the planner)
+    funnels through here.
+    """
+    if backend not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown kernel backend {backend!r}; choose one of "
+            f"{', '.join(BACKEND_NAMES)}")
+    validate_workers(workers)
 
 
 @dataclass
@@ -157,7 +173,8 @@ def iter_tree_edge_splits(context: EnumerationContext, graph,
 class KernelBackend(ABC):
     """How one DP level's batch of candidate splits is executed."""
 
-    #: Backend identifier (``"scalar"`` / ``"vectorized"``).
+    #: Backend identifier (``"scalar"`` / ``"vectorized"`` /
+    #: ``"multicore"``).
     name: str = "abstract"
 
     @abstractmethod
@@ -295,8 +312,13 @@ class ScalarBackend(KernelBackend):
                     memo.put(combined, plan)
 
 
-class KernelOptimizerMixin:
-    """Shared plumbing for optimizers that execute on kernel backends."""
+class BackendKnobMixin:
+    """The ``backend=``/``workers=`` knob of every kernel-backed optimizer.
+
+    Shared by :class:`KernelOptimizerMixin` (the exact level-parallel
+    optimizers) and :class:`~repro.heuristics.common.HeuristicBackendMixin`
+    (the heuristic drivers): same names, same validation.
+    """
 
     #: Backends this optimizer can execute on (capability metadata).
     supported_backends: Tuple[str, ...] = ("scalar", "vectorized", "multicore")
@@ -307,13 +329,13 @@ class KernelOptimizerMixin:
     workers: Optional[int] = None
 
     def _init_backend(self, backend: str, workers: Optional[int] = None) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; choose one of "
-                f"{', '.join(BACKEND_NAMES)}")
-        validate_workers(workers)
+        validate_backend(backend, workers)
         self.backend = backend
         self.workers = workers
+
+
+class KernelOptimizerMixin(BackendKnobMixin):
+    """Shared plumbing for optimizers that execute on kernel backends."""
 
     def _resolve_backend(self, query: QueryInfo,
                          subset: Optional[int] = None) -> KernelBackend:
@@ -342,11 +364,7 @@ def resolve_backend(requested: str, query: QueryInfo,
     ``workers`` (multicore only) caps the worker-process count; ``None``
     uses one worker per usable CPU.
     """
-    if requested not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown kernel backend {requested!r}; choose one of "
-            f"{', '.join(BACKEND_NAMES)}")
-    validate_workers(workers)
+    validate_backend(requested, workers)
     if requested == "scalar":
         return ScalarBackend()
     if requested == "vectorized":

@@ -26,11 +26,13 @@ Data flow per level:
    natively;
 2. each worker receives a small task descriptor (segment name, array
    offsets, its ``[start, stop)`` shard of the target column, the pickled
-   cost model) over its pipe, attaches the segment, rebuilds a zero-copy
-   :class:`~repro.exec.vectorized.Snapshot` and runs the shard kernel;
-3. the parent concatenates the per-shard winner columns in shard order —
-   target order — and scatters them into the :class:`~repro.core.arena.PlanArena`
-   with one ``record_level`` call, then unlinks the segment.
+   cost model, the shard kernel and its args) over its pipe, attaches the
+   segment, rebuilds a zero-copy :class:`~repro.exec.vectorized.Snapshot`
+   and calls the kernel;
+3. the parent unlinks the segment and concatenates the per-shard winner
+   columns in shard order — target order — and the shared level runner
+   (:func:`~repro.exec.vectorized.run_level`) scatters them into the
+   :class:`~repro.core.arena.PlanArena` with one ``record_level`` call.
 
 **Bit-identity** with :class:`~repro.exec.backend.ScalarBackend` holds for
 any worker count by construction: per-target winner selection is the
@@ -68,14 +70,13 @@ import threading
 import traceback
 import uuid
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..core import widebitmap as wb
 from ..core.arena import PlanArena
 from ..core.query import QueryInfo
 from .backend import (
@@ -85,12 +86,11 @@ from .backend import (
     validate_workers,
 )
 from .vectorized import (
-    _MAX_DENSE_BITS,
     Snapshot,
-    TreeInfo,
     VectorizedBackend,
     builder_for,
     run_block_shard,
+    run_level,
     run_subset_shard,
     run_tree_shard,
     tree_info_for,
@@ -244,32 +244,14 @@ def _execute_task(task: dict):
         snapshot = Snapshot(arrays["masks"], arrays["costs"],
                             arrays["rows"], arrays["neighbours"])
         start, stop = task["start"], task["stop"]
-        targets = arrays["targets"][start:stop]
-        out_rows = arrays["out_rows"][start:stop]
-        model = task["model"]
-        kind = task["kind"]
-        if kind == "subset":
-            best, left, right, ccp = run_subset_shard(
-                snapshot, model, task["level"], task["n_bits"], targets,
-                out_rows)
-            pairs = len(targets) * ((1 << task["level"]) - 2)
-        elif kind == "block":
-            best, left, right, ccp, pairs = run_block_shard(
-                snapshot, model, task["adjacency"], task["n_bits"], targets,
-                out_rows)
-        elif kind == "tree":
-            info = TreeInfo(edge_masks=task["tree_edge_masks"],
-                            child_desc=task["tree_child_desc"],
-                            left_is_child=task["tree_left_is_child"])
-            best, left, right, pairs = run_tree_shard(
-                snapshot, model, info, targets, out_rows)
-            ccp = pairs
-        else:
-            raise ValueError(f"unknown multicore task kind {kind!r}")
-        # Winner columns are fresh allocations; drop every view of the
+        result = task["kernel"](snapshot, task["model"],
+                                arrays["targets"][start:stop],
+                                arrays["out_rows"][start:stop],
+                                **task["args"])
+        # Kernel results are fresh allocations; drop every view of the
         # segment before closing it (close() refuses while views exist).
-        del arrays, targets, out_rows, snapshot
-        return best, left, right, ccp, pairs
+        del arrays, snapshot
+        return result
     finally:
         _release_segment(segment)
 
@@ -495,96 +477,55 @@ class MulticoreBackend(KernelBackend):
         return (n_targets >= MULTICORE_MIN_TARGETS
                 and n_targets * per_target_work >= MULTICORE_MIN_WORK)
 
-    def _adjacency(self, state: KernelState) -> Tuple[int, ...]:
-        """The run's packed-space adjacency (what the shard DFS walks)."""
-        return builder_for(state).kernel_adjacency
+    def _run_sharded(self, snapshot: Snapshot, model: object,
+                     target_col: np.ndarray, out_rows: np.ndarray,
+                     shard_kernel: Callable[..., tuple],
+                     args: Dict[str, object]) -> tuple:
+        """Publish the level, fan ``shard_kernel`` out over contiguous shards.
 
-    def _run_sharded(self, kind: str, state: KernelState,
-                     target_arr: np.ndarray, out_rows: np.ndarray,
-                     extra: dict) -> List[tuple]:
-        """Publish the level, fan shards out, return per-shard results."""
-        arena = VectorizedBackend._arena(state)
-        builder = builder_for(state)
-        snapshot = builder.refresh(arena)
-        n_shards = min(self.workers, len(target_arr))
+        Returns the kernel's result tuple for the whole target column:
+        shards partition the targets, so concatenating the per-shard winner
+        columns in shard order restores target order, and per-shard
+        pair/CCP counts sum exactly to the level totals the single-process
+        backend records.
+        """
+        n_shards = min(self.workers, len(target_col))
         pool = POOL_REGISTRY.lease(self.workers)
         segment, meta = _publish_arrays({
             "masks": snapshot.masks,
             "costs": snapshot.costs,
             "rows": snapshot.rows,
             "neighbours": snapshot.neighbours,
-            "targets": target_arr,
+            "targets": target_col,
             "out_rows": out_rows,
         })
         try:
-            tasks = []
-            for start, stop in _shard_bounds(len(target_arr), n_shards):
-                task = {
-                    "kind": kind,
-                    "segment": segment.name,
-                    "meta": meta,
-                    "start": start,
-                    "stop": stop,
-                    "model": state.query.cost_model,
-                    "n_bits": builder.n_bits,
-                }
-                task.update(extra)
-                tasks.append(task)
-            return pool.run_tasks(tasks)
+            results = pool.run_tasks([
+                {"segment": segment.name, "meta": meta, "start": start,
+                 "stop": stop, "model": model, "kernel": shard_kernel,
+                 "args": args}
+                for start, stop in _shard_bounds(len(target_col), n_shards)])
         finally:
             segment.close()
             try:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-
-    @staticmethod
-    def _gather(state: KernelState, level: int, targets: List[int],
-                target_col: np.ndarray, out_rows: np.ndarray,
-                results: List[tuple]) -> None:
-        """Concatenate shard winners (shard order = target order), record.
-
-        Shards partition the targets, so per-shard pair/CCP counts sum
-        exactly to the level totals the single-process backends record.
-        Winner columns come back packed; they unpack to Python ints here,
-        at the arena boundary.
-        """
-        arena = VectorizedBackend._arena(state)
-        spec = builder_for(state).spec
-        best = np.concatenate([r[0] for r in results])
-        winner_left = np.concatenate([r[1] for r in results])
-        winner_right = np.concatenate([r[2] for r in results])
-        total_ccp = sum(int(r[3]) for r in results)
-        total_pairs = sum(int(r[4]) for r in results)
-        state.stats.record_pairs(level, total_pairs, total_ccp)
-        arena.record_level(targets, best, out_rows,
-                           wb.unpack(winner_left, spec),
-                           wb.unpack(winner_right, spec), size=level)
-        builder_for(state).absorb(target_col)
-
-    def _level_inputs(self, state: KernelState, targets: Sequence[int]):
-        targets = list(targets)
-        spec = builder_for(state).spec
-        target_col = wb.pack(targets, spec)
-        out_rows = np.asarray(state.query.rows_batch(target_col, spec=spec),
-                              dtype=np.float64)
-        return targets, target_col, out_rows
+        best, left, right, ccp, pairs = zip(*results)
+        return (np.concatenate(best), np.concatenate(left),
+                np.concatenate(right), sum(ccp), sum(pairs))
 
     # ------------------------------------------------------------------ #
     def run_subset_level(self, state: KernelState, level: int,
                          targets: Sequence[int]) -> None:
         if not targets:
             return
-        per_target = (1 << min(level, _MAX_DENSE_BITS)) - 2
-        if level > _MAX_DENSE_BITS or not self._should_shard(len(targets),
-                                                             per_target):
+        if not self._should_shard(len(targets), (1 << level) - 2):
             self._vectorized.run_subset_level(state, level, targets)
             return
-        targets, target_col, out_rows = self._level_inputs(state, targets)
-        results = self._run_sharded("subset", state, target_col, out_rows,
-                                    {"level": level})
-        self._gather(state, level, targets, target_col, out_rows,
-                     results)
+        run_level(state, level, targets, run_subset_shard,
+                  {"level": level, "n_bits": builder_for(state).n_bits},
+                  self._run_sharded)
 
     def run_block_level(self, state: KernelState, level: int,
                         targets: Sequence[int]) -> None:
@@ -595,33 +536,26 @@ class MulticoreBackend(KernelBackend):
         # less real work, so this leans toward sharding — the shard kernels
         # are cheap on sparse targets and the estimate errs on one IPC
         # round-trip, not on correctness.
-        per_target = (1 << min(level, _MAX_DENSE_BITS)) - 2
-        if not self._should_shard(len(targets), per_target):
+        if not self._should_shard(len(targets), (1 << level) - 2):
             self._vectorized.run_block_level(state, level, targets)
             return
-        targets, target_col, out_rows = self._level_inputs(state, targets)
-        results = self._run_sharded("block", state, target_col, out_rows,
-                                    {"adjacency": self._adjacency(state)})
-        self._gather(state, level, targets, target_col, out_rows,
-                     results)
+        builder = builder_for(state)
+        run_level(state, level, targets, run_block_shard,
+                  {"adjacency": builder.kernel_adjacency,
+                   "n_bits": builder.n_bits},
+                  self._run_sharded)
 
     def run_tree_level(self, state: KernelState, level: int,
                        targets: Sequence[int]) -> None:
         if not targets:
             return
         info = tree_info_for(state)
-        per_target = 2 * max(1, len(info.edge_masks))
-        if not self._should_shard(len(targets), per_target):
+        if not self._should_shard(len(targets),
+                                  2 * max(1, len(info.edge_masks))):
             self._vectorized.run_tree_level(state, level, targets)
             return
-        targets, target_col, out_rows = self._level_inputs(state, targets)
-        results = self._run_sharded("tree", state, target_col, out_rows, {
-            "tree_edge_masks": info.edge_masks,
-            "tree_child_desc": info.child_desc,
-            "tree_left_is_child": info.left_is_child,
-        })
-        self._gather(state, level, targets, target_col, out_rows,
-                     results)
+        run_level(state, level, targets, run_tree_shard, {"info": info},
+                  self._run_sharded)
 
     def run_size_level(self, state: KernelState, level: int) -> None:
         # DPsize pairs arbitrary memoised plans, so the valid-pair set (and

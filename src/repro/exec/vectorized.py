@@ -39,14 +39,19 @@ fast path is unchanged; wider graphs simply carry more lanes — there is no
 
 The unrank/filter/evaluate/scatter-min stages for one *contiguous shard of
 targets* are exposed as module-level functions (:func:`run_subset_shard`,
-:func:`run_block_shard`, :func:`run_tree_shard`).  They are pure: input is a
-:class:`Snapshot` of the arena columns plus plain arrays, output is the
-per-target winner columns.  :class:`VectorizedBackend` runs them in-process
-over the whole level; :class:`~repro.exec.multicore.MulticoreBackend` runs
-the *same* functions in worker processes over ``shared_memory`` views of the
-snapshot, one shard per worker.  Because per-target winner selection is the
-lexicographic ``(cost, sequence)`` minimum and every target lives in exactly
-one shard, sharding cannot change any winner — the multicore scatter stays
+:func:`run_block_shard`, :func:`run_tree_shard`) with one signature,
+``kernel(snapshot, model, targets, out_rows, **args) -> (best, left, right,
+ccp_pairs, evaluated_pairs)``.  They are pure: input is a :class:`Snapshot`
+of the arena columns plus plain arrays, output is the per-target winner
+columns and the shard's counters.  :func:`run_level` is the one level
+runner both array backends share: it packs the targets, estimates their
+cardinalities, runs a kernel over the whole column and records the winners.
+:class:`VectorizedBackend` runs the kernel in-process;
+:class:`~repro.exec.multicore.MulticoreBackend` hands the *same* kernel and
+args to worker processes over ``shared_memory`` views of the snapshot, one
+shard per worker.  Because per-target winner selection is the lexicographic
+``(cost, sequence)`` minimum and every target lives in exactly one shard,
+sharding cannot change any winner — the multicore scatter stays
 bit-identical by construction.
 
 Everything order-sensitive is pinned to the scalar reference: targets are
@@ -61,16 +66,18 @@ snapshot's neighbour column — is hoisted into ``KernelState.cache`` via
 entry (incrementally, as levels append) instead of being re-derived for the
 whole table at every level.
 
-Degenerate shapes (a biconnected block or level wider than
-:data:`_MAX_DENSE_BITS` bits, whose dense split matrix would not fit in
-memory) fall back to scalar loops per block — against the same snapshot, so
-results are unaffected.
+Every transient array stays within :data:`_CHUNK_ELEMENTS` elements at any
+split-universe width: targets (or blocks) are processed in chunks, and a
+universe whose ``2^k - 2`` splits do not fit one chunk (at one word per
+set, a DPsub level or biconnected block of more than 16 relations) is cut
+along its split axis too.  A split's sequence number is its chunk offset plus its row, so the
+first-cheapest-wins tie-break is the same however the axis is cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +86,7 @@ from ..core import widebitmap as wb
 from ..core.contracts import kernel
 from ..core.arena import PlanArena
 from ..core.query import QueryInfo
-from .backend import KernelBackend, KernelState, ScalarBackend
+from .backend import KernelBackend, KernelState
 
 __all__ = [
     "VectorizedBackend",
@@ -87,17 +94,13 @@ __all__ = [
     "SnapshotBuilder",
     "TreeInfo",
     "builder_for",
-    "snapshot_for",
     "tree_info_for",
     "build_tree_info",
+    "run_level",
     "run_subset_shard",
     "run_block_shard",
     "run_tree_shard",
 ]
-
-#: Widest submask universe expanded through the dense split matrix
-#: (``2^k`` rows); larger blocks/levels take the scalar fallback.
-_MAX_DENSE_BITS = 16
 
 #: Target number of array elements per processing chunk (bounds transient
 #: memory at roughly a few hundred megabytes across the per-chunk arrays).
@@ -110,23 +113,49 @@ _DENSE_CACHE: Dict[int, np.ndarray] = {}
 _SEQ_MAX = np.iinfo(np.int64).max
 
 
-@kernel
-def _dense_matrix(k: int) -> np.ndarray:
-    """(2^k - 2, k) matrix: row ``d-1`` holds the bits of dense value ``d``.
+def _dense_bits(values: np.ndarray, k: int) -> np.ndarray:
+    """``(len(values), k)`` uint64 0/1 matrix of the low ``k`` bits of each value."""
+    bits = values[:, None] >> np.arange(k, dtype=np.uint64)[None, :]
+    bits &= np.uint64(1)
+    return bits
 
-    Row order is ascending ``d``, which is exactly the canonical submask
-    enumeration order of :func:`~repro.core.bitmapset.iter_proper_nonempty_subsets`,
-    so a row index doubles as the split's within-target sequence number.
-    uint64 cells so the deposit matmul against one-hot word columns stays in
-    uint64 (numpy upcasts mixed int64/uint64 arithmetic to float64).
+
+@kernel
+def _dense_rows(k: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the ``(2^k - 2, k)`` dense split matrix.
+
+    Row ``d - 1`` holds the bits of dense value ``d``.  Row order is
+    ascending ``d``, which is exactly the canonical submask enumeration
+    order of :func:`~repro.core.bitmapset.iter_proper_nonempty_subsets`, so
+    ``start`` plus a row index is the split's within-target sequence
+    number.  uint64 cells so the deposit matmul against one-hot word columns
+    stays in uint64 (numpy upcasts mixed int64/uint64 arithmetic to
+    float64).  The whole matrix is cached per width while it fits
+    :data:`_CHUNK_ELEMENTS`; wider universes generate each chunk's rows.
     """
+    n_splits = (1 << k) - 2
+    if n_splits * k > _CHUNK_ELEMENTS:
+        return _dense_bits(
+            np.arange(start + 1, min(stop, n_splits) + 1, dtype=np.uint64), k)
     cached = _DENSE_CACHE.get(k)
     if cached is None:
-        dense = np.arange(1, (1 << k) - 1, dtype=np.uint64)
-        shifts = np.arange(k, dtype=np.uint64)
-        cached = (dense[:, None] >> shifts[None, :]) & np.uint64(1)
+        cached = _dense_bits(np.arange(1, n_splits + 1, dtype=np.uint64), k)
         _DENSE_CACHE[k] = cached
-    return cached
+    return cached[start:stop]
+
+
+def _chunk_steps(k: int, words: int) -> Tuple[int, int]:
+    """``(splits, sets)`` per chunk of a ``k``-bit split universe.
+
+    The whole split axis rides in one chunk while it fits
+    :data:`_CHUNK_ELEMENTS` (and the sets of a chunk fill the rest of the
+    bound); a wider universe is cut along its split axis so that every
+    ``(splits, sets, words)`` array and every dense-rows slice stays within
+    the bound.
+    """
+    n_splits = (1 << k) - 2
+    splits = min(n_splits, max(1, _CHUNK_ELEMENTS // max(k, words)))
+    return splits, max(1, _CHUNK_ELEMENTS // (splits * words))
 
 
 @kernel
@@ -144,27 +173,6 @@ def _deposit(dense: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for word in range(words):  # loop: words — one matmul per bitset word lane
         out[:, :, word] = dense @ weights[:, :, word].T
     return out
-
-
-def _grow(adjacency: Sequence[int], source: int, restricted: int) -> int:
-    """BFS grow over a plain adjacency column (Section 3.2.1).
-
-    Same fixpoint as :meth:`EnumerationContext.grow
-    <repro.core.enumeration.EnumerationContext.grow>` — a pure function of
-    the adjacency masks, so worker processes (which hold no context) compute
-    identical lifts.
-    """
-    reached = source
-    frontier = source
-    while frontier:
-        raw = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            raw |= adjacency[low.bit_length() - 1]
-        frontier = raw & restricted & ~reached
-        reached |= frontier
-    return reached
 
 
 def _blocks_and_hangs(adjacency: Sequence[int], target: int):
@@ -358,14 +366,6 @@ class Snapshot:
         found = self.keys[index] == keys
         return index.reshape(shape), found.reshape(shape)
 
-    def lookup_one(self, mask: int) -> Tuple[int, bool]:
-        """Packed-space scalar probe (the wide-block fallback's path)."""
-        key = wb.sort_keys(wb.pack([mask], self.words))
-        index = int(np.searchsorted(self.keys, key[0]))
-        if index >= len(self.keys):
-            return len(self.keys) - 1, False
-        return index, wb.unpack_one(self.masks[index]) == mask
-
 
 class SnapshotBuilder:
     """Incremental snapshot state, hoisted into ``KernelState.cache``.
@@ -402,7 +402,7 @@ class SnapshotBuilder:
         #: for a remap).
         self.n_bits = n if isinstance(self.spec, int) else len(self.spec)
         #: Packed-space adjacency masks, indexed by packed vertex position —
-        #: what the shard kernels' Python-int side (block DFS, grow) walks.
+        #: what the shard kernels' Python-int side (the block DFS) walks.
         #: Remapped rows drop out-of-scope neighbour bits; identity rows
         #: keep them (harmless — every AND partner is inside the scope).
         if isinstance(self.spec, int):
@@ -417,38 +417,20 @@ class SnapshotBuilder:
         self._masks = np.empty((0, self.words), dtype=np.uint64)
         self._keys = wb.sort_keys(self._masks)
         self._neighbours = np.empty((0, self.words), dtype=np.uint64)
+        self._costs = np.empty(0, dtype=np.float64)
+        self._rows = np.empty(0, dtype=np.float64)
         self._pending: List[np.ndarray] = []
 
     def absorb(self, column: np.ndarray) -> None:
-        """Packed rows of keys just appended to the arena, in append order.
+        """Packed keys of the level just recorded into the arena, in order.
 
         The level runners already hold every winner they record as a packed
         column, so handing it over lets :meth:`refresh` extend the mask
         table without re-packing those keys from Python ints — on remapped
         wide runs that re-pack is a per-source-word big-int pass over every
-        arena key of the level.  Columns are validated against the arena
-        suffix at the next refresh and discarded on any mismatch, so
-        interleaved scalar-fallback ``put`` appends degrade to the int
-        re-pack instead of corrupting the snapshot.
+        arena key of the level.
         """
-        if len(column):
-            self._pending.append(column)
-
-    def _pending_masks(self, keys, built: int,
-                       total: int) -> Optional[np.ndarray]:
-        """The absorbed columns iff they exactly cover ``keys[built:total]``."""
-        pending = self._pending
-        if not pending:
-            return None
-        if sum(len(column) for column in pending) != total - built:
-            return None
-        column = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        # Endpoint guard: any interleaved append (or a runner handing over
-        # the wrong column) breaks one of these and voids the hand-off.
-        if (wb.unpack_one(column[0]) != keys[built]
-                or wb.unpack_one(column[-1]) != keys[total - 1]):
-            return None
-        return column
+        self._pending.append(column)
 
     def neighbours_of(self, masks: np.ndarray) -> np.ndarray:
         """Neighbour bitmaps of ``masks`` (vectorized union of adjacencies).
@@ -471,30 +453,32 @@ class SnapshotBuilder:
     def refresh(self, arena: PlanArena) -> Snapshot:
         """Snapshot of the arena's current columns (sorted by mask).
 
-        Cost/row cells of entries appended at the *current* level may still
-        be improved by scalar-fallback ``put`` calls, so those two columns
-        are re-copied per refresh; masks, keys and neighbours are immutable
-        per entry and extend incrementally.
+        The array backends record whole levels and never ``put``, so every
+        entry is final once appended and each column extends by the entries
+        appended since the last refresh: the absorbed level columns, or — at
+        a run's first refresh — the leaves ``_init_leaves`` seeded, the only
+        entries packed from their ints.
         """
         keys, costs, rows = arena.columns()
         total = len(keys)
         built = len(self._masks)
         if total > built:
-            new_masks = self._pending_masks(keys, built, total)
-            if new_masks is None:
-                new_masks = wb.pack(keys[built:], self.spec)
+            new_masks = (np.concatenate(self._pending) if self._pending
+                         else wb.pack(keys[built:], self.spec))
+            self._pending = []
             self._masks = np.concatenate([self._masks, new_masks])
             self._keys = np.concatenate(
                 [self._keys, wb.sort_keys(new_masks)])
             self._neighbours = np.concatenate(
                 [self._neighbours, self.neighbours_of(new_masks)])
-        self._pending = []
+            self._costs = np.concatenate(
+                [self._costs, np.array(costs[built:], dtype=np.float64)])
+            self._rows = np.concatenate(
+                [self._rows, np.array(rows[built:], dtype=np.float64)])
         order = np.argsort(self._keys)
-        costs_arr = np.fromiter(costs, dtype=np.float64, count=total)
-        rows_arr = np.fromiter(rows, dtype=np.float64, count=total)
-        return Snapshot(self._masks[order], costs_arr[order], rows_arr[order],
-                        self._neighbours[order], keys=self._keys[order],
-                        spec=self.spec)
+        return Snapshot(self._masks[order], self._costs[order],
+                        self._rows[order], self._neighbours[order],
+                        keys=self._keys[order], spec=self.spec)
 
 
 def builder_for(state: KernelState) -> SnapshotBuilder:
@@ -506,48 +490,19 @@ def builder_for(state: KernelState) -> SnapshotBuilder:
     return builder
 
 
-def snapshot_for(state: KernelState, arena: PlanArena) -> Snapshot:
-    """The run's current arena snapshot, via the state-cached builder."""
-    return builder_for(state).refresh(arena)
-
-
-@kernel
-def _scatter_winners(n_targets: int, tid: np.ndarray, cost: np.ndarray,
-                     seq: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """First-cheapest-wins reduction per target id.
-
-    ``left``/``right`` are packed ``(p, words)`` columns; returns
-    ``(best_cost, winner_left, winner_right)`` with winners packed the same
-    way, of length ``n_targets``.  The winner of a target is the candidate
-    with minimal cost and, among exact float ties, minimal sequence number —
-    the pair the scalar backend's strict ``<`` memo update would have kept.
-    """
-    words = left.shape[1]
-    best = np.full(n_targets, np.inf)
-    np.minimum.at(best, tid, cost)
-    if not np.all(np.isfinite(best)):
-        raise RuntimeError(
-            "vectorized kernel produced no valid CCP pair for a connected "
-            "set; this indicates a filter-stage bug")
-    tie = cost == best[tid]
-    best_seq = np.full(n_targets, _SEQ_MAX, dtype=np.int64)
-    np.minimum.at(best_seq, tid[tie], seq[tie])
-    winner = tie & (seq == best_seq[tid])
-    winner_left = np.empty((n_targets, words), dtype=np.uint64)
-    winner_right = np.empty((n_targets, words), dtype=np.uint64)
-    winner_left[tid[winner]] = left[winner]
-    winner_right[tid[winner]] = right[winner]
-    return best, winner_left, winner_right
-
-
 class _RunningWinners:
-    """Incremental first-cheapest-wins state across candidate batches.
+    """First-cheapest-wins reduction per target id, across candidate batches.
 
-    Lexicographic ``(cost, seq)`` minimisation is associative, so a level
-    whose candidates arrive in many batches (MPDP's block-size groups and
-    chunks) can reduce each batch immediately and merge it into running
-    per-target winners — transient memory stays bounded by the chunk size
-    instead of the level's total valid-pair count.
+    The one ``(cost, sequence)`` reduction of the array kernels.  The winner
+    of a target is the candidate with minimal cost and, among exact float
+    ties, minimal sequence number — the pair the scalar backend's strict
+    ``<`` memo update would have kept.  Lexicographic minimisation is
+    associative, so a level whose candidates arrive in many batches (MPDP's
+    block-size groups, split-axis chunks) reduces each batch immediately and
+    merges it into the running per-target winners — transient memory stays
+    bounded by the chunk size instead of the level's total valid-pair count.
+    ``left``/``right`` are packed ``(p, words)`` columns, and so are the
+    winners.
     """
 
     def __init__(self, n_targets: int, words: int) -> None:
@@ -605,17 +560,14 @@ class TreeInfo:
     left_is_child: np.ndarray  #: (E,) True when ``edge.left`` is the child
 
 
-def build_tree_info(graph, scope: int, spec=None) -> TreeInfo:
+def build_tree_info(graph, scope: int, spec) -> TreeInfo:
     """Root the induced subtree of ``scope`` and derive the edge-split arrays.
 
-    ``spec`` is the run's packed word layout (defaults to the full identity
-    layout) — the arrays must share it with the snapshot columns they are
-    ANDed against.
+    ``spec`` is the run's packed word layout — the arrays must share it with
+    the snapshot columns they are ANDed against.
     """
     edges = graph.edges_within(scope)
     adjacency = graph._adjacency
-    if spec is None:
-        spec = wb.words_for(graph.n_relations)
     root = bms.lowest_bit_index(scope)
     parent: Dict[int, int] = {root: root}
     order: List[int] = [root]
@@ -666,131 +618,69 @@ def tree_info_for(state: KernelState) -> TreeInfo:
 
 # --------------------------------------------------------------------------- #
 # Shard kernels: one contiguous slice of a level's targets, in or out of
-# process.  Pure functions of (snapshot, model, plain arrays).
+# process.  Pure functions of (snapshot, model, plain arrays), all called as
+# ``kernel(snapshot, model, targets, out_rows, **args)`` and all returning
+# ``(best_cost, winner_left, winner_right, ccp_pairs, evaluated_pairs)``.
 # --------------------------------------------------------------------------- #
 @kernel
-def run_subset_shard(snapshot: Snapshot, model, level: int, n_bits: int,
-                     targets: np.ndarray, out_rows: np.ndarray):
+def run_subset_shard(snapshot: Snapshot, model, targets: np.ndarray,
+                     out_rows: np.ndarray, *, level: int, n_bits: int):
     """DPsub unrank/filter/evaluate/scatter for one shard of targets.
 
-    ``targets`` is the packed ``(m, words)`` target column; returns
-    ``(best_cost, winner_left, winner_right, ccp_count)`` aligned with it
-    (winners packed the same way).
+    ``targets`` is the packed ``(m, words)`` target column; the winner
+    columns are aligned with it and packed the same way.
     """
     n_splits = (1 << level) - 2
     words = targets.shape[1]
-    dense = _dense_matrix(level)
+    split_step, target_step = _chunk_steps(level, words)
     total_ccp = 0
     parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    chunk = max(1, _CHUNK_ELEMENTS // (n_splits * words))
-    for start in range(0, len(targets), chunk):  # loop: chunks — bounded-memory dispatch slices
-        tc = targets[start:start + chunk]
-        oc = out_rows[start:start + chunk]
+    for start in range(0, len(targets), target_step):  # loop: chunks — bounded-memory dispatch slices
+        tc = targets[start:start + target_step]
+        oc = out_rows[start:start + target_step]
+        cols = np.arange(len(tc))
         weights = wb.one_hot_words(
             wb.bit_positions(tc, level, n_bits), words)
-        lefts = _deposit(dense, weights)               # (S, c, W) unrank
-        rights = tc[None, :, :] ^ lefts
-        left_idx, left_ok = snapshot.lookup(lefts)     # filter: connected
-        right_idx, right_ok = snapshot.lookup(rights)
-        valid = left_ok & right_ok
-        valid &= wb.any_bits(snapshot.neighbours[left_idx] & rights)
-        vrow, vcol = np.nonzero(valid)
-        total_ccp += len(vrow)
-        cost = np.full(valid.shape, np.inf)
-        li = left_idx[vrow, vcol]
-        ri = right_idx[vrow, vcol]
-        cost[vrow, vcol] = model.cost_batch(           # evaluate
-            snapshot.rows[li], snapshot.costs[li],
-            snapshot.rows[ri], snapshot.costs[ri], oc[vcol])
-        # scatter-min: argmin returns the first (lowest dense rank)
-        # minimal row, matching the scalar first-cheapest-wins order.
-        win = np.argmin(cost, axis=0)
-        cols = np.arange(len(tc))
-        best = cost[win, cols]
-        if not np.all(np.isfinite(best)):
-            raise RuntimeError(
-                "vectorized kernel produced no valid CCP pair for a "
-                "connected set; this indicates a filter-stage bug")
-        parts.append((best, lefts[win, cols], rights[win, cols]))
+        winners = _RunningWinners(len(tc), words)
+        for split in range(0, n_splits, split_step):  # loop: split-chunks — bounded-memory slices of the dense split axis
+            lefts = _deposit(_dense_rows(level, split, split + split_step),
+                             weights)                  # (S, c, W) unrank
+            rights = tc[None, :, :] ^ lefts
+            left_idx, left_ok = snapshot.lookup(lefts)     # filter: connected
+            right_idx, right_ok = snapshot.lookup(rights)
+            valid = left_ok & right_ok
+            valid &= wb.any_bits(snapshot.neighbours[left_idx] & rights)
+            vrow, vcol = np.nonzero(valid)
+            total_ccp += len(vrow)
+            cost = np.full(valid.shape, np.inf)
+            li = left_idx[vrow, vcol]
+            ri = right_idx[vrow, vcol]
+            cost[vrow, vcol] = model.cost_batch(           # evaluate
+                snapshot.rows[li], snapshot.costs[li],
+                snapshot.rows[ri], snapshot.costs[ri], oc[vcol])
+            # scatter-min: argmin returns the chunk's first (lowest dense
+            # rank) minimal row, matching the scalar first-cheapest-wins
+            # order; the running winners carry it across split chunks.
+            win = np.argmin(cost, axis=0)
+            winners.merge(cols, cost[win, cols], split + win,
+                          lefts[win, cols], rights[win, cols])
+        parts.append(winners.finalize())
     best = np.concatenate([p[0] for p in parts])
     winner_left = np.concatenate([p[1] for p in parts])
     winner_right = np.concatenate([p[2] for p in parts])
-    return best, winner_left, winner_right, total_ccp
-
-
-def _fallback_block_entries(snapshot: Snapshot, model,
-                            adjacency: Sequence[int], targets_py: Sequence[int],
-                            out_rows: np.ndarray, entries,
-                            winners: "_RunningWinners") -> int:
-    """Scalar fallback for blocks too wide for the dense split matrix.
-
-    Works entirely off the snapshot (membership probes stand in for
-    ``is_connected`` — the arena holds exactly the connected subsets of
-    every smaller size — and :func:`_grow` for the lift), so worker
-    processes run it without an :class:`EnumerationContext`.  Its
-    candidates are costed in one ``cost_batch`` call and folded into the
-    same running winners the array path merges into.
-    """
-    ccp = 0
-    tids: List[int] = []
-    left_slots: List[int] = []
-    right_slots: List[int] = []
-    seqs: List[int] = []
-    lefts: List[int] = []
-    rights: List[int] = []
-    for tid, block, seq_base, _hang in entries:
-        target = targets_py[tid]
-        for rank, left_block in enumerate(bms.iter_proper_nonempty_subsets(block)):
-            right_block = block & ~left_block
-            left_bi, found = snapshot.lookup_one(left_block)
-            if not found:
-                continue
-            _, found = snapshot.lookup_one(right_block)
-            if not found:
-                continue
-            if not wb.unpack_one(snapshot.neighbours[left_bi]) & right_block:
-                continue
-            ccp += 1
-            rest = target & ~right_block
-            left = rest if rest == left_block else _grow(adjacency, left_block, rest)
-            right = target & ~left
-            li, left_found = snapshot.lookup_one(left)
-            ri, right_found = snapshot.lookup_one(right)
-            if not (left_found and right_found):
-                raise RuntimeError(
-                    "grow-lift produced an operand missing from the "
-                    "arena; CCP lift invariant violated")
-            tids.append(tid)
-            left_slots.append(li)
-            right_slots.append(ri)
-            seqs.append(seq_base + rank)
-            lefts.append(left)
-            rights.append(right)
-    if tids:
-        tid_column = np.array(tids, dtype=np.int64)
-        li_column = np.array(left_slots, dtype=np.int64)
-        ri_column = np.array(right_slots, dtype=np.int64)
-        winners.merge(tid_column,
-                      model.cost_batch(
-                          snapshot.rows[li_column], snapshot.costs[li_column],
-                          snapshot.rows[ri_column], snapshot.costs[ri_column],
-                          out_rows[tid_column]),
-                      np.array(seqs, dtype=np.int64),
-                      wb.pack(lefts, snapshot.words),
-                      wb.pack(rights, snapshot.words))
-    return ccp
+    return best, winner_left, winner_right, total_ccp, len(targets) * n_splits
 
 
 @kernel
-def run_block_shard(snapshot: Snapshot, model, adjacency: Sequence[int],
-                    n_bits: int, targets: np.ndarray, out_rows: np.ndarray):
+def run_block_shard(snapshot: Snapshot, model, targets: np.ndarray,
+                    out_rows: np.ndarray, *, adjacency: Sequence[int],
+                    n_bits: int):
     """MPDP block splits + grow-lift for one shard of targets.
 
-    ``targets`` is the packed ``(m, words)`` target column; returns
-    ``(best_cost, winner_left, winner_right, ccp_count, evaluated_pairs)``
-    aligned with it.  Every target's candidates are wholly inside this shard
-    (sequence bases are per-target), so the shard-local lexicographic winner
-    equals the global one.
+    ``targets`` is the packed ``(m, words)`` target column; the winner
+    columns are aligned with it.  Every target's candidates are wholly
+    inside this shard (sequence bases are per-target), so the shard-local
+    lexicographic winner equals the global one.
     """
     n_targets = len(targets)
     words = targets.shape[1]
@@ -830,13 +720,8 @@ def run_block_shard(snapshot: Snapshot, model, adjacency: Sequence[int],
 
     for size in sorted(groups):  # loop: block-sizes — one dense batch per size group
         entries = groups[size]
-        if size > _MAX_DENSE_BITS:
-            total_ccp += _fallback_block_entries(
-                snapshot, model, adjacency, targets_py, out_rows, entries,
-                winners)
-            continue
         n_splits = (1 << size) - 2
-        dense = _dense_matrix(size)
+        split_step, entry_step = _chunk_steps(size, words)
         tid_all = np.fromiter((e[0] for e in entries), np.int64, len(entries))
         blk_all = wb.pack([e[1] for e in entries], words)
         seq_all = np.fromiter((e[2] for e in entries), np.int64, len(entries))
@@ -852,61 +737,60 @@ def run_block_shard(snapshot: Snapshot, model, adjacency: Sequence[int],
                             if entry[3] is not None for weight in entry[3]]
             hang_all[hang_rows] = wb.pack(flat_weights, words).reshape(
                 len(hang_rows), size, words)
-        chunk = max(1, _CHUNK_ELEMENTS // (n_splits * words))
-        for start in range(0, len(entries), chunk):  # loop: chunks — bounded-memory dispatch slices
-            tidc = tid_all[start:start + chunk]
-            blkc = blk_all[start:start + chunk]
-            seqc = seq_all[start:start + chunk]
+        for start in range(0, len(entries), entry_step):  # loop: chunks — bounded-memory dispatch slices
+            tidc = tid_all[start:start + entry_step]
+            blkc = blk_all[start:start + entry_step]
+            seqc = seq_all[start:start + entry_step]
+            hangc = hang_all[start:start + entry_step]
             weights = wb.one_hot_words(
                 wb.bit_positions(blkc, size, n_bits), words)
-            left_blocks = _deposit(dense, weights)
-            right_blocks = blkc[None, :, :] ^ left_blocks
-            lb_idx, lb_ok = snapshot.lookup(left_blocks)
-            rb_idx, rb_ok = snapshot.lookup(right_blocks)
-            valid = lb_ok & rb_ok
-            valid &= wb.any_bits(snapshot.neighbours[lb_idx] & right_blocks)
-            vrow, vcol = np.nonzero(valid)
-            if len(vrow) == 0:
-                continue
-            total_ccp += len(vrow)
-            tids = tidc[vcol]
-            target_of = targets[tids]
-            lb = left_blocks[vrow, vcol]
-            # Grow-lift (Algorithm 3, lines 17-18) as one more matrix
-            # multiply: a split's lifted left side is its block vertices
-            # plus their (disjoint) hang-off components.
-            if any_hang:
-                lifted = lb + _deposit(
-                    dense, hang_all[start:start + chunk])[vrow, vcol]
-            else:
-                lifted = lb
-            left = lifted
-            right = target_of & ~left
-            li, li_ok = snapshot.lookup(left)
-            ri, ri_ok = snapshot.lookup(right)
-            if not (np.all(li_ok) and np.all(ri_ok)):
-                raise RuntimeError(
-                    "grow-lift produced an operand missing from the "
-                    "arena; CCP lift invariant violated")
-            winners.merge(
-                tids,
-                model.cost_batch(
-                    snapshot.rows[li], snapshot.costs[li],
-                    snapshot.rows[ri], snapshot.costs[ri], out_rows[tids]),
-                seqc[vcol] + vrow, left, right)
+            for split in range(0, n_splits, split_step):  # loop: split-chunks — bounded-memory slices of the dense split axis
+                dense = _dense_rows(size, split, split + split_step)
+                left_blocks = _deposit(dense, weights)
+                right_blocks = blkc[None, :, :] ^ left_blocks
+                lb_idx, lb_ok = snapshot.lookup(left_blocks)
+                rb_idx, rb_ok = snapshot.lookup(right_blocks)
+                valid = lb_ok & rb_ok
+                valid &= wb.any_bits(
+                    snapshot.neighbours[lb_idx] & right_blocks)
+                vrow, vcol = np.nonzero(valid)
+                if len(vrow) == 0:
+                    continue
+                total_ccp += len(vrow)
+                tids = tidc[vcol]
+                left = left_blocks[vrow, vcol]
+                # Grow-lift (Algorithm 3, lines 17-18) as one more matrix
+                # multiply: a split's lifted left side is its block vertices
+                # plus their (disjoint) hang-off components.
+                if any_hang:
+                    left = left + _deposit(dense, hangc)[vrow, vcol]
+                right = targets[tids] & ~left
+                li, li_ok = snapshot.lookup(left)
+                ri, ri_ok = snapshot.lookup(right)
+                if not (np.all(li_ok) and np.all(ri_ok)):
+                    raise RuntimeError(
+                        "grow-lift produced an operand missing from the "
+                        "arena; CCP lift invariant violated")
+                winners.merge(
+                    tids,
+                    model.cost_batch(
+                        snapshot.rows[li], snapshot.costs[li],
+                        snapshot.rows[ri], snapshot.costs[ri],
+                        out_rows[tids]),
+                    seqc[vcol] + split + vrow, left, right)
 
     best, winner_left, winner_right = winners.finalize()
     return best, winner_left, winner_right, total_ccp, total_pairs
 
 
 @kernel
-def run_tree_shard(snapshot: Snapshot, model, info: TreeInfo,
-                   targets: np.ndarray, out_rows: np.ndarray):
+def run_tree_shard(snapshot: Snapshot, model, targets: np.ndarray,
+                   out_rows: np.ndarray, *, info: TreeInfo):
     """MPDP:Tree per-edge splits for one shard of targets.
 
-    ``targets`` is the packed ``(m, words)`` target column; returns
-    ``(best_cost, winner_left, winner_right, evaluated_pairs)``; every
-    evaluated pair is a valid CCP pair by construction (Lemmas 1-2).
+    ``targets`` is the packed ``(m, words)`` target column; every evaluated
+    pair is a valid CCP pair by construction (Lemmas 1-2), so the two
+    counters are equal.
     """
     n_edges = max(1, len(info.edge_masks))
     words = targets.shape[1]
@@ -936,19 +820,67 @@ def run_tree_shard(snapshot: Snapshot, model, info: TreeInfo,
         cost_swapped = model.cost_batch(
             snapshot.rows[ri], snapshot.costs[ri],
             snapshot.rows[li], snapshot.costs[li], out)
-        tid = np.concatenate([trow, trow])
-        cost = np.concatenate([cost_forward, cost_swapped])
         # Scalar emission interleaves orientations per edge: (L,R) at
         # 2*edge, (R,L) at 2*edge + 1 (edge indices are scope-global but
         # order-isomorphic to the per-target edges_within order).
-        seq = np.concatenate([2 * tcol, 2 * tcol + 1])
-        left = np.concatenate([left_first, right_first])
-        right = np.concatenate([right_first, left_first])
-        parts.append(_scatter_winners(len(tc), tid, cost, seq, left, right))
+        winners = _RunningWinners(len(tc), words)
+        winners.merge(np.concatenate([trow, trow]),
+                      np.concatenate([cost_forward, cost_swapped]),
+                      np.concatenate([2 * tcol, 2 * tcol + 1]),
+                      np.concatenate([left_first, right_first]),
+                      np.concatenate([right_first, left_first]))
+        parts.append(winners.finalize())
     best = np.concatenate([p[0] for p in parts])
     winner_left = np.concatenate([p[1] for p in parts])
     winner_right = np.concatenate([p[2] for p in parts])
-    return best, winner_left, winner_right, total_pairs
+    return best, winner_left, winner_right, total_pairs, total_pairs
+
+
+def _arena(state: KernelState) -> PlanArena:
+    if not isinstance(state.memo, PlanArena):
+        raise TypeError(
+            "the array kernel backends require a PlanArena DP table; "
+            "create it via the backend's create_table")
+    return state.memo
+
+
+def _in_process(snapshot: Snapshot, model: object, targets: np.ndarray,
+                out_rows: np.ndarray, shard_kernel: Callable[..., tuple],
+                args: Dict[str, object]) -> tuple:
+    return shard_kernel(snapshot, model, targets, out_rows, **args)
+
+
+def run_level(state: KernelState, level: int, targets: Sequence[int],
+              shard_kernel: Callable[..., tuple], args: Dict[str, object],
+              execute: Callable[..., tuple] = _in_process) -> None:
+    """Run one DP level through a shard kernel and record its winners.
+
+    Packs the targets, estimates their cardinalities in one ``rows_batch``
+    call, runs ``shard_kernel(snapshot, model, targets, out_rows, **args)``
+    over the whole target column, records the level's counters and
+    winners, and hands the packed keys to the run's
+    :class:`SnapshotBuilder`.  ``execute`` is how the kernel runs: in
+    process by default; the multicore backend passes its shard fan-out,
+    which returns the same tuple for the whole column.
+    """
+    if not targets:
+        return
+    arena = _arena(state)
+    builder = builder_for(state)
+    snapshot = builder.refresh(arena)
+    targets = list(targets)
+    target_col = wb.pack(targets, builder.spec)
+    out_rows = np.asarray(
+        state.query.rows_batch(target_col, spec=builder.spec),
+        dtype=np.float64)
+    best, winner_left, winner_right, ccp, pairs = execute(
+        snapshot, state.query.cost_model, target_col, out_rows, shard_kernel,
+        args)
+    state.stats.record_pairs(level, pairs, ccp)
+    arena.record_level(targets, best, out_rows,
+                       wb.unpack(winner_left, builder.spec),
+                       wb.unpack(winner_right, builder.spec), size=level)
+    builder.absorb(target_col)
 
 
 class VectorizedBackend(KernelBackend):
@@ -956,100 +888,34 @@ class VectorizedBackend(KernelBackend):
 
     name = "vectorized"
 
-    def __init__(self) -> None:
-        self._scalar = ScalarBackend()
-
     def create_table(self, query: QueryInfo) -> PlanArena:
         return PlanArena(query)
 
-    @staticmethod
-    def _arena(state: KernelState) -> PlanArena:
-        if not isinstance(state.memo, PlanArena):
-            raise TypeError(
-                "the vectorized backend requires a PlanArena DP table; "
-                "create it via VectorizedBackend.create_table")
-        return state.memo
-
-    # ------------------------------------------------------------------ #
-    # DPsub: powerset splits of each target
-    # ------------------------------------------------------------------ #
     def run_subset_level(self, state: KernelState, level: int,
                          targets: Sequence[int]) -> None:
-        if not targets:
-            return
-        arena = self._arena(state)
-        if level > _MAX_DENSE_BITS:
-            self._scalar.run_subset_level(state, level, targets)
-            return
-        query, stats = state.query, state.stats
-        builder = builder_for(state)
-        snapshot = builder.refresh(arena)
-        targets = list(targets)
-        target_col = wb.pack(targets, builder.spec)
-        out_rows = np.asarray(query.rows_batch(target_col, spec=builder.spec),
-                              dtype=np.float64)
-        best, winner_left, winner_right, total_ccp = run_subset_shard(
-            snapshot, query.cost_model, level, builder.n_bits,
-            target_col, out_rows)
-        stats.record_pairs(level, len(targets) * ((1 << level) - 2), total_ccp)
-        arena.record_level(targets, best, out_rows,
-                           wb.unpack(winner_left, builder.spec),
-                           wb.unpack(winner_right, builder.spec), size=level)
-        builder.absorb(target_col)
+        """DPsub: powerset splits of each target."""
+        run_level(state, level, targets, run_subset_shard,
+                  {"level": level, "n_bits": builder_for(state).n_bits})
 
-    # ------------------------------------------------------------------ #
-    # MPDP: block-restricted splits plus the grow-lift
-    # ------------------------------------------------------------------ #
     def run_block_level(self, state: KernelState, level: int,
                         targets: Sequence[int]) -> None:
-        if not targets:
-            return
-        arena = self._arena(state)
-        query, stats = state.query, state.stats
+        """MPDP: block-restricted splits plus the grow-lift."""
         builder = builder_for(state)
-        snapshot = builder.refresh(arena)
-        targets = list(targets)
-        target_col = wb.pack(targets, builder.spec)
-        out_rows = np.asarray(query.rows_batch(target_col, spec=builder.spec),
-                              dtype=np.float64)
-        best, winner_left, winner_right, total_ccp, total_pairs = run_block_shard(
-            snapshot, query.cost_model, builder.kernel_adjacency,
-            builder.n_bits, target_col, out_rows)
-        stats.record_pairs(level, total_pairs, total_ccp)
-        arena.record_level(targets, best, out_rows,
-                           wb.unpack(winner_left, builder.spec),
-                           wb.unpack(winner_right, builder.spec), size=level)
-        builder.absorb(target_col)
+        run_level(state, level, targets, run_block_shard,
+                  {"adjacency": builder.kernel_adjacency,
+                   "n_bits": builder.n_bits})
 
-    # ------------------------------------------------------------------ #
-    # MPDP:Tree: per-edge subtree splits
-    # ------------------------------------------------------------------ #
     def run_tree_level(self, state: KernelState, level: int,
                        targets: Sequence[int]) -> None:
-        if not targets:
-            return
-        arena = self._arena(state)
-        query, stats = state.query, state.stats
-        builder = builder_for(state)
-        snapshot = builder.refresh(arena)
-        info = tree_info_for(state)
-        targets = list(targets)
-        target_col = wb.pack(targets, builder.spec)
-        out_rows = np.asarray(query.rows_batch(target_col, spec=builder.spec),
-                              dtype=np.float64)
-        best, winner_left, winner_right, total_pairs = run_tree_shard(
-            snapshot, query.cost_model, info, target_col, out_rows)
-        stats.record_pairs(level, total_pairs, total_pairs)
-        arena.record_level(targets, best, out_rows,
-                           wb.unpack(winner_left, builder.spec),
-                           wb.unpack(winner_right, builder.spec), size=level)
-        builder.absorb(target_col)
+        """MPDP:Tree: per-edge subtree splits."""
+        run_level(state, level, targets, run_tree_shard,
+                  {"info": tree_info_for(state)})
 
     # ------------------------------------------------------------------ #
     # DPsize: cross products of memoised plan sizes
     # ------------------------------------------------------------------ #
     def run_size_level(self, state: KernelState, level: int) -> None:
-        arena = self._arena(state)
+        arena = _arena(state)
         query, stats = state.query, state.stats
         model = query.cost_model
         builder = builder_for(state)
@@ -1117,8 +983,9 @@ class VectorizedBackend(KernelBackend):
         stats.record_sets(level, n_new)
         first_seq = np.full(n_new, _SEQ_MAX, dtype=np.int64)
         np.minimum.at(first_seq, inverse, seq)
-        best, winner_left, winner_right = _scatter_winners(
-            n_new, inverse, cost, seq, left, right)
+        winners = _RunningWinners(n_new, words)
+        winners.merge(inverse, cost, seq, left, right)
+        best, winner_left, winner_right = winners.finalize()
         # Rows are a function of the target set alone (one memoized estimate
         # per mask), so every candidate of a target carries the same value.
         winner_rows = np.empty(n_new, dtype=np.float64)

@@ -21,37 +21,19 @@ fragment of a run.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..exec import AUTO_VECTORIZE_MIN_RELATIONS, BACKEND_NAMES, validate_workers
+from ..exec import AUTO_VECTORIZE_MIN_RELATIONS, BackendKnobMixin
 
 __all__ = ["HeuristicBackendMixin"]
 
 
-class HeuristicBackendMixin:
+class HeuristicBackendMixin(BackendKnobMixin):
     """The ``backend=``/``workers=`` knob for heuristic drivers.
 
-    Mirrors :class:`~repro.exec.backend.KernelOptimizerMixin` (same names,
-    same validation) without its DP-table override: the drivers keep plain
+    The shared knob (:class:`~repro.exec.backend.BackendKnobMixin`) without
+    the exact optimizers' DP-table override: the drivers keep plain
     :class:`~repro.core.memo.MemoTable` state and hand the knob to (a) their
     inner exact optimizer and (b) their own batched loops.
     """
-
-    #: Backends this driver can execute on (capability metadata).
-    supported_backends = ("scalar", "vectorized", "multicore")
-    #: The requested backend, forwarded to the inner exact optimizer.
-    backend: str = "scalar"
-    #: Worker-process count for the multicore backend (``None`` = auto).
-    workers: Optional[int] = None
-
-    def _init_backend(self, backend: str, workers: Optional[int] = None) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; choose one of "
-                f"{', '.join(BACKEND_NAMES)}")
-        validate_workers(workers)
-        self.backend = backend
-        self.workers = workers
 
     def _use_heuristic_kernels(self, batch_size: int) -> bool:
         """Whether this driver's own batched loops should run.

@@ -13,7 +13,8 @@ one size is independent, which is what PDP and DPsize-GPU parallelize — and
 what the kernel backends (:mod:`repro.exec`) exploit here: each size level is
 emitted as one batch, executed either as the historical scalar loop or as a
 vectorized cross-product grid with mask filters and one ``cost_batch`` call
-(``backend="scalar" | "vectorized" | "auto"``; bit-identical results).
+(``backend="scalar" | "vectorized" | "multicore" | "auto"``; the multicore
+backend runs DPsize levels in-process; bit-identical results).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ The per-level pair work is *emitted as a batch* to a kernel backend
 (:mod:`repro.exec`): ``backend="scalar"`` runs the historical per-pair loop,
 ``"vectorized"`` executes the level as numpy array stages (batched submask
 unranking, mask-filtered CCP checks, one ``cost_batch`` call, scatter-min),
-``"auto"`` picks by query size.  Plans, costs and counters are bit-identical
+``"multicore"`` shards those stages across worker processes, ``"auto"``
+picks by query size.  Plans, costs and counters are bit-identical
 across backends.
 
 Two candidate-set enumeration modes are provided:
@@ -58,10 +59,8 @@ class DPSub(KernelOptimizerMixin, JoinOrderOptimizer):
 
     def _level_targets(self, query: QueryInfo, subset: int, size: int,
                        stats: OptimizerStats,
-                       context: Optional[EnumerationContext] = None) -> Tuple[int, ...]:
+                       context: EnumerationContext) -> Tuple[int, ...]:
         """The level's connected target sets, with candidate-set accounting."""
-        if context is None:
-            context = EnumerationContext.of(query.graph)
         if self.unrank_filter and subset == query.all_relations_mask:
             # GPU-style: unrank every combination, then filter connectivity
             # (the pipeline's unrank + filter phases); the connectivity check

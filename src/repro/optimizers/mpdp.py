@@ -21,9 +21,12 @@ Both classes *emit per-level batches*: the outer loop enumerates each level's
 connected target sets and hands them to a kernel backend
 (:mod:`repro.exec`), which executes the split / filter / evaluate /
 scatter-min stages — as the historical scalar loops
-(:class:`~repro.exec.backend.ScalarBackend`) or as batched numpy kernels
-(:class:`~repro.exec.vectorized.VectorizedBackend`).  Select with
-``backend="scalar" | "vectorized" | "auto"``; results are bit-identical.
+(:class:`~repro.exec.backend.ScalarBackend`), as batched numpy kernels
+(:class:`~repro.exec.vectorized.VectorizedBackend`) or as those kernels
+sharded across worker processes
+(:class:`~repro.exec.multicore.MulticoreBackend`).  Select with
+``backend="scalar" | "vectorized" | "multicore" | "auto"``; results are
+bit-identical.
 
 Two classes are exported:
 
@@ -36,7 +39,7 @@ Two classes are exported:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core import bitmapset as bms
 from ..core.counters import OptimizerStats
@@ -45,7 +48,7 @@ from ..core.memo import MemoTable
 from ..core.plan import Plan
 from ..core.query import QueryInfo
 from ..core.shapes import ACYCLIC_SHAPES
-from ..exec import KernelOptimizerMixin, KernelState, iter_tree_edge_splits
+from ..exec import KernelOptimizerMixin, KernelState
 from .base import JoinOrderOptimizer, OptimizationError
 
 __all__ = ["MPDP", "MPDPTree"]
@@ -64,11 +67,7 @@ class MPDP(KernelOptimizerMixin, JoinOrderOptimizer):
         self._init_backend(backend, workers)
 
     def _level_targets(self, query: QueryInfo, subset: int, size: int,
-                       context: Optional[EnumerationContext] = None) -> Tuple[int, ...]:
-        if context is None:
-            # Convenience for one-off calls; per-run callers pass the
-            # context they already resolved (once per run, not per level).
-            context = EnumerationContext.of(query.graph)
+                       context: EnumerationContext) -> Tuple[int, ...]:
         return context.connected_subsets(size, within=subset)
 
     def _run(self, query: QueryInfo, subset: int,
@@ -130,19 +129,3 @@ class MPDPTree(KernelOptimizerMixin, JoinOrderOptimizer):
             backend.run_tree_level(state, size, targets)
 
         return memo[subset]
-
-    @staticmethod
-    def _edge_splits(query: QueryInfo, candidate_set: int,
-                     context: Optional[EnumerationContext] = None
-                     ) -> Iterator[Tuple[int, int]]:
-        """Yield both orientations of the split induced by removing each edge.
-
-        ``context`` is accepted explicitly so per-run callers resolve the
-        graph's :class:`EnumerationContext` once instead of once per
-        candidate set; it is looked up here only as a convenience for
-        one-off calls.
-        """
-        graph = query.graph
-        if context is None:
-            context = EnumerationContext.of(graph)
-        return iter_tree_edge_splits(context, graph, candidate_set)

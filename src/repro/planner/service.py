@@ -64,7 +64,7 @@ from ..core.plan import Plan
 from ..core.query import QueryInfo
 from ..core.shapes import SHAPE_DISCONNECTED
 from ..cost.cardinality import CardinalityEstimator
-from ..exec import BACKEND_NAMES, validate_workers
+from ..exec import validate_backend
 from ..optimizers.base import JoinOrderOptimizer, OptimizationError, PlanResult
 from .cache import PlanCache
 from .classifier import QueryClassifier, QueryProfile, structural_signature
@@ -229,11 +229,7 @@ class AdaptivePlanner:
         if not (2 <= exact_threshold <= tree_threshold <= idp_threshold <= lindp_threshold):
             raise ValueError(
                 "thresholds must satisfy 2 <= exact <= tree <= idp <= lindp")
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; choose one of "
-                f"{', '.join(BACKEND_NAMES)}")
-        validate_workers(workers)
+        validate_backend(backend, workers)
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         missing = [rung for rung in (_LADDER_EXACT_TREE, _LADDER_EXACT,
                                      _LADDER_IDP, _LADDER_LINDP, _LADDER_GOO)

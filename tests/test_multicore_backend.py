@@ -40,7 +40,9 @@ from repro.optimizers import DPSize, DPSub, MPDP
 from repro.optimizers.mpdp import MPDPTree
 from repro.planner import DEFAULT_REGISTRY, AdaptivePlanner
 from repro.workloads import (
+    chain_query,
     clique_query,
+    cycle_query,
     musicbrainz_query,
     random_connected_query,
     snowflake_query,
@@ -63,6 +65,17 @@ COUNTER_FIELDS = ("evaluated_pairs", "ccp_pairs", "sets_considered",
                   "level_pairs", "level_ccp", "memo_entries")
 
 WORKER_COUNTS = (1, 2, 4)
+
+#: Split universes wider than one kernel chunk (MPDP's 18-vertex top block
+#: of an 18-cycle, DPsub's levels 17-18 of an 18-chain).
+WIDE_SPLIT_CASES = {
+    "mpdp_cycle_n18_seed1": (MPDP, lambda: cycle_query(18, seed=1)),
+    "dpsub_chain_n18_seed1": (DPSub, lambda: chain_query(18, seed=1)),
+}
+
+
+def _failing_kernel(snapshot, model, targets, out_rows, **args):
+    raise ValueError("shard kernel failed")
 
 
 @pytest.fixture
@@ -115,6 +128,13 @@ class TestMulticoreBitIdentity:
         make = WORKLOAD_FACTORIES[workload]
         scalar = MPDPTree(backend="scalar").optimize(make())
         multicore = MPDPTree(backend="multicore", workers=2).optimize(make())
+        assert_equivalent(scalar, multicore)
+
+    @pytest.mark.parametrize("case", sorted(WIDE_SPLIT_CASES))
+    def test_wide_split_universe_bit_identical(self, case, force_sharding):
+        optimizer, make = WIDE_SPLIT_CASES[case]
+        scalar = optimizer(backend="scalar").optimize(make())
+        multicore = optimizer(backend="multicore", workers=2).optimize(make())
         assert_equivalent(scalar, multicore)
 
     def test_dpsize_bit_identical(self, force_sharding):
@@ -184,12 +204,18 @@ class TestShardMechanics:
 
     def test_worker_error_propagates_and_pool_survives(self):
         pool = mc.POOL_REGISTRY.lease(2)
-        segment, meta = mc._publish_arrays(
-            {"masks": np.array([1], dtype=np.int64)})
+        column = np.ones((1, 1), dtype=np.uint64)
+        cells = np.ones(1)
+        segment, meta = mc._publish_arrays({
+            "masks": column, "costs": cells, "rows": cells,
+            "neighbours": column, "targets": column, "out_rows": cells})
         try:
-            task = {"kind": "bogus", "segment": segment.name, "meta": meta,
-                    "start": 0, "stop": 0, "model": None, "n_bits": 1}
-            with pytest.raises(RuntimeError, match="multicore worker failed"):
+            task = {"segment": segment.name, "meta": meta, "start": 0,
+                    "stop": 1, "model": None, "kernel": _failing_kernel,
+                    "args": {}}
+            with pytest.raises(RuntimeError,
+                               match="(?s)multicore worker failed.*"
+                                     "shard kernel failed"):
                 pool.run_tasks([task, dict(task)])
         finally:
             segment.close()

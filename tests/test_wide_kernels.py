@@ -240,25 +240,9 @@ def test_one_hot_words():
 # --------------------------------------------------------------------- #
 # Snapshot / SnapshotBuilder on wide graphs
 # --------------------------------------------------------------------- #
-def test_wide_snapshot_lookup_one():
-    n_bits = 130
-    masks = sorted(set(random_masks(n_bits, 50, seed=41)))
-    words = wb.words_for(n_bits)
-    column = wb.pack(masks, words)
-    zeros = np.zeros(len(masks), dtype=np.float64)
-    snapshot = vectorized.Snapshot(column, zeros, zeros,
-                                   np.zeros_like(column))
-    for mask in masks[:5] + masks[-5:]:
-        index, found = snapshot.lookup_one(mask)
-        assert found and wb.unpack_one(snapshot.masks[index]) == mask
-    absent = (masks[0] + 1) if (masks[0] + 1) not in set(masks) else 0
-    _, found = snapshot.lookup_one(absent)
-    assert not found
-
-
 def test_builder_absorb_and_fallback():
-    """absorb() hands packed winner columns to the next refresh; any
-    coverage mismatch (interleaved scalar put) falls back to int packing."""
+    """absorb() hands packed winner columns to the next refresh; entries
+    never absorbed (the leaves seeded by put) are packed from their ints."""
     from repro.core.arena import PlanArena
     from repro.cost.cout import CoutCostModel
     from repro.workloads import chain_query
@@ -284,13 +268,3 @@ def test_builder_absorb_and_fallback():
     snapshot = builder.refresh(arena)
     assert set(wb.unpack(snapshot.masks)) == \
         set(1 << v for v in range(70)) | set(pairs)
-
-    # Interleaved put => pending no longer covers the suffix => fallback.
-    triple = 0b111 << 64
-    arena.record_level([triple], [2.0], [2.0], [0b11 << 64], [1 << 66],
-                       size=3)
-    builder.absorb(wb.pack([triple], builder.spec))
-    arena.put(0b11, query.join(0b01, 0b10, arena[0b01], arena[0b10]))
-    snapshot = builder.refresh(arena)
-    unpacked = set(wb.unpack(snapshot.masks))
-    assert triple in unpacked and 0b11 in unpacked
