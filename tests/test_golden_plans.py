@@ -24,11 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.heuristics import GOO, IDP1, IDP2, UnionDP
+from repro.heuristics import GOO, IDP1, IDP2, IKKBZ, AdaptiveLinDP, UnionDP
 from repro.optimizers import MPDP
 from repro.workloads import (
     chain_query,
     clique_query,
+    cycle_query,
     musicbrainz_query,
     scaled_musicbrainz_query,
     snowflake_query,
@@ -69,12 +70,21 @@ WORKLOAD_FACTORIES = {
     "goo_musicbrainz_n200_seed1":
         lambda: scaled_musicbrainz_query(200, seed=1),
     "goo_clique_n40_seed1": lambda: clique_query(40, seed=1),
+    # IKKBZ's best linear order over every root, and the planner's LinDP
+    # rung built on it: IDP2 over LinearizedDP past 100 relations (the
+    # scaled MusicBrainz walk) and LinearizedDP over a cyclic graph's
+    # spanning tree.
+    "ikkbz_snowflake_n130_seed1": lambda: snowflake_query(130, seed=1),
+    "lindp_musicbrainz_n101_seed1":
+        lambda: scaled_musicbrainz_query(101, seed=1),
+    "lindp_cycle_n60_seed1": lambda: cycle_query(60, seed=1),
 }
 
 #: Per-workload optimizer override (default: exact MPDP on the scalar
 #: reference backend).  The wide snowflake would be intractable for exact
 #: DP, so it pins the scalar IDP2 ladder instead; the ``uniondp_``,
-#: ``idp1_`` and ``goo_`` workloads pin those drivers.
+#: ``idp1_``, ``goo_`` and ``ikkbz_`` workloads pin those drivers, and the
+#: ``lindp_`` ones pin AdaptiveLinDP as the planner's LinDP rung builds it.
 DRIVER_FACTORIES = {
     "wide_snowflake_n100_seed1": lambda: IDP2(k=8, backend="scalar"),
     "uniondp_snowflake_n100_seed1": lambda: UnionDP(k=8, backend="scalar"),
@@ -84,6 +94,11 @@ DRIVER_FACTORIES = {
     "goo_snowflake_n200_seed1": lambda: GOO(backend="scalar"),
     "goo_musicbrainz_n200_seed1": lambda: GOO(backend="scalar"),
     "goo_clique_n40_seed1": lambda: GOO(backend="scalar"),
+    "ikkbz_snowflake_n130_seed1": lambda: IKKBZ(),
+    "lindp_musicbrainz_n101_seed1":
+        lambda: AdaptiveLinDP(exact_threshold=0, backend="scalar"),
+    "lindp_cycle_n60_seed1":
+        lambda: AdaptiveLinDP(exact_threshold=0, backend="scalar"),
 }
 
 
@@ -143,6 +158,15 @@ def test_goo_golden_plan_batched(workload):
     """GOO's batched candidate estimates reproduce the scalar goldens."""
     pinned = json.loads(golden_path(workload).read_text())
     assert snapshot_of(workload, lambda: GOO(backend="vectorized")) == pinned
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(w for w in WORKLOAD_FACTORIES if w.startswith("lindp_")))
+def test_lindp_golden_plan_vectorized(workload):
+    """LinearizedDP's batched interval merge reproduces the scalar goldens."""
+    pinned = json.loads(golden_path(workload).read_text())
+    assert snapshot_of(workload, lambda: AdaptiveLinDP(
+        exact_threshold=0, backend="vectorized")) == pinned
 
 
 # --------------------------------------------------------------------- #
