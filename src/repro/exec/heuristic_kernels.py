@@ -40,6 +40,8 @@ exact optimizers make.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,14 +86,10 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
     if n == 1:
         return query.leaf_plan(order[0])
 
-    # Vertex masks of every interval [i, j] (arbitrary-width Python ints —
-    # these never enter an int64 array).
-    interval_mask: List[List[int]] = [[0] * n for _ in range(n)]
-    for i in range(n):  # loop: positions — bigint interval-mask setup
-        mask = 0
-        for j in range(i, n):  # loop: positions — bigint interval-mask setup
-            mask |= bms.bit(order[j])
-            interval_mask[i][j] = mask
+    # Prefix masks of the order (arbitrary-width Python ints — these never
+    # enter an int64 array): the bits are disjoint, so interval [i, j] is
+    # prefix_mask[j + 1] ^ prefix_mask[i], computed only where it is read.
+    prefix_mask = list(accumulate(map(bms.bit, order), or_, initial=0))
 
     # DP tables over (start, end) positions.
     cost = np.full((n, n), np.inf)
@@ -108,7 +106,7 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
     # "some edge crosses [i..s] x [s+1..j]" becomes one rectangle-count
     # comparison, replacing the scalar per-split is_connected_to probe.
     graph = query.graph
-    scope = interval_mask[0][n - 1]
+    scope = prefix_mask[n]
     position_of = {vertex: p for p, vertex in enumerate(order)}
     member = np.zeros((n, n), dtype=np.int64)
     for p, vertex in enumerate(order):  # loop: positions — adjacency membership setup
@@ -133,7 +131,7 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
             # observe every interval through rows(); the fold adds the base
             # terms and would bypass the override.
             return np.array(
-                [query.rows(interval_mask[start][start + length - 1])
+                [query.rows(prefix_mask[start + length] ^ prefix_mask[start])
                  for start in starts.tolist()],
                 dtype=np.float64)
 
@@ -204,7 +202,8 @@ def lindp_merge(query: QueryInfo, order: Sequence[int],
             stack.append((i, s, False))
             stack.append((s + 1, j, False))
             continue
-        plans[(i, j)] = query.join(interval_mask[i][s], interval_mask[s + 1][j],
+        plans[(i, j)] = query.join(prefix_mask[s + 1] ^ prefix_mask[i],
+                                   prefix_mask[j + 1] ^ prefix_mask[s + 1],
                                    plans[(i, s)], plans[(s + 1, j)])
     plan = plans[(0, n - 1)]
     if plan.cost != cost[0, n - 1]:

@@ -29,7 +29,9 @@ inner optimizer per rung across calls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from operator import or_
+from typing import Dict, Optional, Tuple
 
 from ..core import bitmapset as bms
 from ..core.counters import OptimizerStats
@@ -78,13 +80,9 @@ class LinearizedDP(HeuristicBackendMixin, JoinOrderOptimizer):
         # hit the context's memoized neighbour bitmaps.
         context = EnumerationContext.of(query.graph)
 
-        # Vertex masks of every interval [i, j] of the linear order.
-        interval_mask: List[List[int]] = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mask = 0
-            for j in range(i, n):
-                mask |= bms.bit(order[j])
-                interval_mask[i][j] = mask
+        # Prefix masks of the linear order: its bits are disjoint, so
+        # interval [i, j] is prefix_mask[j + 1] ^ prefix_mask[i].
+        prefix_mask = list(accumulate(map(bms.bit, order), or_, initial=0))
 
         best: Dict[Tuple[int, int], Plan] = {}
         for i, vertex in enumerate(order):
@@ -99,8 +97,8 @@ class LinearizedDP(HeuristicBackendMixin, JoinOrderOptimizer):
                     right = best.get((split + 1, j))
                     if left is None or right is None:
                         continue
-                    left_mask = interval_mask[i][split]
-                    right_mask = interval_mask[split + 1][j]
+                    left_mask = prefix_mask[split + 1] ^ prefix_mask[i]
+                    right_mask = prefix_mask[j + 1] ^ prefix_mask[split + 1]
                     stats.record_pair(length, is_ccp=False)
                     if not context.is_connected_to(left_mask, right_mask):
                         continue

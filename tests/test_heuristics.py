@@ -1,6 +1,7 @@
 """Tests for the heuristic optimizers (GOO, IKKBZ, GEQO, IDP, LinDP, UnionDP)."""
 
 import itertools
+import time
 
 import pytest
 
@@ -21,11 +22,14 @@ from repro.heuristics import (
 from repro.cost import CoutCostModel
 from repro.core.query import QueryInfo
 from repro.optimizers import MPDP, DPCcp, OptimizationError
+from repro.core.joingraph import JoinGraph
+from repro.core.unionfind import UnionFind
 from repro.workloads import (
     chain_query,
     clique_query,
     cycle_query,
     random_connected_query,
+    scaled_musicbrainz_query,
     snowflake_query,
     star_query,
 )
@@ -47,6 +51,167 @@ SMALL_QUERIES = [
     ("cycle", cycle_query(7, seed=4)),
     ("random", random_connected_query(8, seed=4)),
 ]
+
+
+# --------------------------------------------------------------------- #
+# IKKBZ reference oracle: the textbook per-root algorithm
+# --------------------------------------------------------------------- #
+# Roots the spanning tree at every relation in turn, rebuilds and
+# normalises every subtree's rank chain for that root (recursively), and
+# costs each order with a bitmap walk over the whole graph.  O(n^3) on deep
+# trees, so it only serves as the reference IKKBZ.linear_order must match
+# order for order.
+class _OracleChain:
+    def __init__(self, relations, T, C):
+        self.relations = relations
+        self.T = T
+        self.C = C
+
+    @property
+    def rank(self):
+        if self.C == 0:
+            return 0.0
+        return (self.T - 1.0) / self.C
+
+    def followed_by(self, other):
+        return _OracleChain(self.relations + other.relations,
+                            self.T * other.T, self.C + self.T * other.C)
+
+
+def _oracle_spanning_tree(query, subset):
+    edges = sorted((edge.selectivity, edge.left, edge.right)
+                   for edge in query.graph.edges_within(subset))
+    uf = UnionFind(query.graph.n_relations)
+    return [(left, right, selectivity) for selectivity, left, right in edges
+            if uf.union(left, right)]
+
+
+def _oracle_children(tree_adjacency, root):
+    children = {vertex: [] for vertex in tree_adjacency}
+    visited = {root}
+    stack = [root]
+    while stack:
+        vertex = stack.pop()
+        for neighbour, selectivity in tree_adjacency[vertex]:
+            if neighbour in visited:
+                continue
+            visited.add(neighbour)
+            children[vertex].append((neighbour, selectivity))
+            stack.append(neighbour)
+    return children
+
+
+def _oracle_normalize(prefix, chain):
+    result = []
+    for node in [prefix] + chain:
+        result.append(node)
+        while len(result) >= 2 and result[-1].rank < result[-2].rank:
+            tail = result.pop()
+            head = result.pop()
+            result.append(head.followed_by(tail))
+    return result
+
+
+def _oracle_sequence(query, root, children):
+    def resolve(vertex, selectivity_to_parent):
+        rows = query.cardinality.base_rows(vertex)
+        if selectivity_to_parent is None:
+            node = _OracleChain([vertex], T=1.0, C=0.0)
+        else:
+            n_i = max(selectivity_to_parent * rows, 1e-12)
+            node = _OracleChain([vertex], T=n_i, C=n_i)
+        merged = [chain_node for child, sel in children[vertex]
+                  for chain_node in resolve(child, sel)]
+        merged.sort(key=lambda chain_node: chain_node.rank)
+        return _oracle_normalize(node, merged)
+
+    return [vertex for node in resolve(root, None) for vertex in node.relations]
+
+
+def oracle_cout_cost(query, order):
+    graph = query.graph
+    rows = query.cardinality.base_rows(order[0])
+    prefix_mask = bms.bit(order[0])
+    cost = 0.0
+    for relation in order[1:]:
+        rows *= query.cardinality.base_rows(relation)
+        for neighbour in bms.iter_bits(graph.adjacency(relation) & prefix_mask):
+            rows *= graph.edge_between(relation, neighbour).selectivity
+        rows = max(rows, 1.0)
+        cost += rows
+        prefix_mask |= bms.bit(relation)
+    return cost
+
+
+def oracle_root_costs(query, subset=None):
+    """``[(root, order, C_out)]`` for every root, in ascending root order."""
+    if subset is None:
+        subset = query.all_relations_mask
+    vertices = bms.to_indices(subset)
+    tree_adjacency = {vertex: [] for vertex in vertices}
+    for left, right, selectivity in _oracle_spanning_tree(query, subset):
+        tree_adjacency[left].append((right, selectivity))
+        tree_adjacency[right].append((left, selectivity))
+    result = []
+    for root in vertices:
+        order = _oracle_sequence(
+            query, root, _oracle_children(tree_adjacency, root))
+        result.append((root, order, oracle_cout_cost(query, order)))
+    return result
+
+
+def oracle_linear_order(query, subset=None):
+    best_order, best_cost = None, float("inf")
+    for _, order, cost in oracle_root_costs(query, subset):
+        if cost < best_cost:
+            best_order, best_cost = order, cost
+    return best_order
+
+
+def _assert_matches_oracle(query, subset=None):
+    order = IKKBZ().linear_order(query, subset)
+    assert order == oracle_linear_order(query, subset)
+    assert left_deep_cout_cost(query, order) == oracle_cout_cost(query, order)
+
+
+def _uniform_query(n, hub):
+    """Every relation 1000 rows, every edge selectivity 0.01, under C_out:
+    a star around vertex 0 (``hub``) or a chain 0-1-...-(n-1)."""
+    graph = JoinGraph(n)
+    for vertex in range(1, n):
+        graph.add_edge(0 if hub else vertex - 1, vertex, 0.01)
+    return QueryInfo(graph, [1000.0] * n, cost_model=CoutCostModel())
+
+
+def _goo_contracted(query, low=5, high=15):
+    """``query`` contracted once around the first GOO subtree of low..high
+    relations, as one IDP2 round contracts around its fragment."""
+    plan = GOO().optimize(query).plan
+    node = next(node for node in plan.iter_joins()
+                if low <= node.n_relations <= high)
+    partitions = [node.relations]
+    plans = [node]
+    for vertex in bms.iter_bits(query.all_relations_mask & ~node.relations):
+        partitions.append(bms.bit(vertex))
+        plans.append(query.leaf_plan(vertex))
+    return query.contract(partitions, plans)
+
+
+ORACLE_SHAPES = {
+    "chain": chain_query,
+    "star": star_query,
+    "snowflake": snowflake_query,
+    "cycle": cycle_query,
+    "clique": clique_query,
+    "random": random_connected_query,
+    "musicbrainz": scaled_musicbrainz_query,
+}
+
+#: (shape, relations) pairs the oracle is checked on; cliques stop at 40,
+#: where the oracle's per-root rebuild over a deep spanning tree is still
+#: quick.
+ORACLE_CASES = [(shape, n) for shape in sorted(ORACLE_SHAPES)
+                for n in (10, 40, 130) if shape != "clique" or n <= 40]
 
 
 class TestCommonHeuristicContract:
@@ -149,6 +314,64 @@ class TestIKKBZ:
         query = cycle_query(8, seed=2)
         result = IKKBZ().optimize(query)
         assert result.plan.relations == query.all_relations_mask
+
+    @pytest.mark.parametrize("shape,n", ORACLE_CASES)
+    def test_linear_order_matches_the_per_root_oracle(self, shape, n):
+        for seed in (1, 2):
+            _assert_matches_oracle(ORACLE_SHAPES[shape](n, seed=seed))
+
+    @pytest.mark.parametrize("shape", ["snowflake", "cycle", "musicbrainz"])
+    def test_fragment_linear_order_matches_the_oracle(self, shape):
+        query = ORACLE_SHAPES[shape](150, seed=3)
+        plan = GOO().optimize(query).plan
+        fragments = [node.relations for node in plan.iter_joins()
+                     if 10 <= node.n_relations <= 60]
+        assert fragments
+        for subset in fragments[:: max(1, len(fragments) // 4)]:
+            _assert_matches_oracle(query, subset)
+
+    @pytest.mark.parametrize("shape", ["snowflake", "musicbrainz"])
+    def test_contracted_linear_order_matches_the_oracle(self, shape):
+        _assert_matches_oracle(_goo_contracted(ORACLE_SHAPES[shape](60, seed=4)))
+
+    @pytest.mark.parametrize("hub", [True, False], ids=["star", "chain"])
+    def test_tied_roots_keep_the_lowest_numbered_root(self, hub):
+        query = _uniform_query(12, hub)
+        costs = oracle_root_costs(query)
+        best = min(cost for _, _, cost in costs)
+        tied = [root for root, _, cost in costs if cost == best]
+        assert len(tied) >= 2
+        order = IKKBZ().linear_order(query)
+        assert order[0] == tied[0]
+        _assert_matches_oracle(query)
+
+    def test_plans_a_1000_relation_chain(self):
+        query = chain_query(1000, seed=1)
+        result = IKKBZ().optimize(query)
+        result.plan.validate()
+        assert result.plan.is_left_deep()
+        assert result.plan.relations == query.all_relations_mask
+
+
+@pytest.mark.perf_smoke
+def test_linear_order_beats_the_per_root_oracle():
+    """One chain per directed tree edge, not per root: same order, >= 4x.
+
+    On snowflake-130 the oracle takes about 130 ms and ``linear_order``
+    about 6 ms on a 2-CPU x86 host; the bar is 4x, best of three
+    interleaved runs each.
+    """
+    query = snowflake_query(130, seed=1)
+    timings = {"oracle": [], "linear_order": []}
+    for _ in range(3):
+        start = time.perf_counter()
+        expected = oracle_linear_order(query)
+        timings["oracle"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        order = IKKBZ().linear_order(query)
+        timings["linear_order"].append(time.perf_counter() - start)
+    assert order == expected
+    assert min(timings["oracle"]) >= 4.0 * min(timings["linear_order"])
 
 
 class TestGEQO:
